@@ -15,6 +15,7 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -86,6 +87,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, metavar="PATH")
 
 
+@functools.cache  # built once: building costs about as much as planning one scenario
 def _build_parser() -> _Parser:
     parser = _Parser(prog="windubins", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -136,7 +138,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             tol=_tolerances(args),
         )
     except ValueError as exc:
-        raise _CliError(f"argument --rho: {exc}") from None
+        raise _CliError(str(exc)) from None
 
 
 def _format_table(result: PlanResult) -> str:

@@ -132,7 +132,8 @@ class SegmentParams:
     """Segment parameters of one candidate; fields unused by the variant are 0.
 
     alpha, beta, gamma are arc radians in [0, 2*pi) (beta doubles as the
-    straight-segment heading for CSC), d is the straight length, n the wrap
+    straight-segment heading for CSC, whose alpha or gamma reaches 2*pi when
+    a root sits on a wrap-branch boundary), d is the straight length, n the wrap
     branch index, sigma/kappa the first/last turn directions.
     """
 
@@ -408,11 +409,21 @@ def _last_arc_offset(kappa: int, beta: float, th_f: float, rho: float) -> tuple[
     return (rho * (math.sin(th_f) - math.sin(beta)), rho * (math.cos(beta) - math.cos(th_f)))
 
 
-def _csc_arcs(variant: Variant, beta: float, th_f: float) -> tuple[float, float]:
-    """First/last arc radians from heading bookkeeping for a straight heading."""
-    alpha = mod2pi(HALF_PI - beta) if variant.sigma == -1 else mod2pi(beta - HALF_PI)
-    gamma = mod2pi(beta - th_f) if variant.kappa == -1 else mod2pi(th_f - beta)
-    return alpha, gamma
+def _csc_first_arc(
+    variant: Variant, beta: float, window: tuple[float, float] | None
+) -> float:
+    """First arc radians from heading bookkeeping for a straight heading.
+
+    The arc wraps where beta crosses pi/2.  The RSL/LSR branch windows split
+    there, so for their roots the wrap is read at the window's middle: a root
+    on that boundary keeps the empty (0) or full (2*pi) first arc of its own
+    branch, as the last arc does in ``_csc_from_beta``.
+    """
+    turn = variant.sigma * (beta - HALF_PI)
+    if window is None:
+        return mod2pi(turn)
+    mid = variant.sigma * (0.5 * (window[0] + window[1]) - HALF_PI)
+    return max(turn - TWO_PI * math.floor(mid / TWO_PI), 0.0)
 
 
 def _csc_arc_sum(variant: Variant, beta: float, th_f: float, n: int) -> float:
@@ -513,13 +524,14 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
                         out.append(cand)
                     continue
                 roots = solve_sinusoid(coeffs, tol).roots
+                window = None
             else:
                 window = _csc_branch_window(variant, th_f, n)
                 if window is None:
                     continue
                 roots = solve_envelope(coeffs, tol, domain=window).roots
             for beta in roots:
-                cand = _csc_from_beta(scenario, variant, n, beta)
+                cand = _csc_from_beta(scenario, variant, n, beta, window)
                 if cand is not None:
                     out.append(cand)
     return _dedupe(out)
@@ -548,15 +560,24 @@ def _csc_branch_window(variant: Variant, th_f: float, n: int) -> tuple[float, fl
 
 
 def _csc_from_beta(
-    scenario: Scenario, variant: Variant, n: int, beta: float
+    scenario: Scenario,
+    variant: Variant,
+    n: int,
+    beta: float,
+    window: tuple[float, float] | None,
 ) -> PathCandidate | None:
     tol = scenario.tol
     rho = scenario.rho
     wx, wy = scenario.wind.wx, scenario.wind.wy
     th_f = scenario.theta_f
-    alpha, gamma = _csc_arcs(variant, beta, th_f)
-    if abs(alpha + gamma - _csc_arc_sum(variant, beta, th_f, n)) > _BRANCH_TOL:
+    alpha = _csc_first_arc(variant, beta, window)
+    # The last arc comes from the branch's arc sum, not from mod2pi: a root on
+    # a branch boundary then gets the full turn (2*pi) or the empty one (0)
+    # that its own branch implies.
+    gamma = _csc_arc_sum(variant, beta, th_f, n) - alpha
+    if not -_BRANCH_TOL <= gamma <= TWO_PI + _BRANCH_TOL:
         return None  # root belongs to a different wrap branch
+    gamma = max(gamma, 0.0)
     arc_time = rho * (alpha + gamma)
     p1x, p1y = _first_arc_end(variant.sigma, beta, rho)
     kx, ky = _last_arc_offset(variant.kappa, beta, th_f, rho)

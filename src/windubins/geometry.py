@@ -24,6 +24,9 @@ HALF_PI = 0.5 * math.pi
 #: Wind speeds below this are treated as exactly zero (stationary target).
 ZERO_WIND_EPS = 1e-12
 
+#: Farthest supported goal, in turn radii from the start (see ``Scenario``).
+MAX_GOAL_RANGE = 1e6
+
 
 def mod2pi(angle: float) -> float:
     """Wrap an angle into [0, 2*pi).  Guards against the float-mod artifact
@@ -77,17 +80,15 @@ class ToleranceSet:
     feas_tol        slack on the measure-zero feasibility equalities of the
                     SC/CC families (they almost never hold exactly in floats)
     residual_tol    terminal position residual scale for accepting a candidate
-    root_tol        maximum bracket width reported for an isolated root
     zero_angle_eps  arc radians below this are treated as degenerate
     """
 
     feas_tol: float = 1e-6
     residual_tol: float = 1e-6
-    root_tol: float = 1e-10
     zero_angle_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("feas_tol", "residual_tol", "root_tol", "zero_angle_eps"):
+        for name in ("feas_tol", "residual_tol", "zero_angle_eps"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -144,6 +145,14 @@ class Scenario:
     ``start`` is the inertial start pose; the default matches the canonical
     frame where planning formulas apply directly.  ``normalize`` reduces any
     other start to it.
+
+    Every value must be finite, and the goal must lie within
+    ``MAX_GOAL_RANGE`` turn radii of the start.  The root equations'
+    coefficients grow with the square of the goal distance (the CCC constant
+    term is m^2 + n^2) and overflow near 1e154*rho; long before that, the
+    acceptance slack residual_tol*(1 + t_f), which grows with the path time,
+    reaches the size of a turn: with rho = 1 and the default residual_tol it
+    is about rho at 1e6*rho, so the check no longer resolves the turns.
     """
 
     wind: WindVector
@@ -157,8 +166,24 @@ class Scenario:
     def __post_init__(self) -> None:
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be a positive finite length, got {self.rho}")
-        object.__setattr__(self, "theta_f", mod2pi(self.theta_f))
         sx, sy, sth = self.start
+        for name, value in (
+            ("target_x", self.target_x),
+            ("target_y", self.target_y),
+            ("theta_f", self.theta_f),
+            ("start x", sx),
+            ("start y", sy),
+            ("start heading", sth),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        reach = math.hypot(self.target_x - sx, self.target_y - sy) / self.rho
+        if not reach <= MAX_GOAL_RANGE:
+            raise ValueError(
+                f"goal is {reach:.3g} turn radii from the start;"
+                f" at most {MAX_GOAL_RANGE:g} are supported"
+            )
+        object.__setattr__(self, "theta_f", mod2pi(self.theta_f))
         object.__setattr__(self, "start", (float(sx), float(sy), mod2pi(sth)))
 
     @property

@@ -5,17 +5,26 @@ path families produce.
 * constant-plus-sinusoid  e1 + e2*sin(b) + e3*cos(b) = 0
 * linear-envelope         f1 + f2*sin(b) + f3*cos(b) + b*(f4*sin(b) + f5*cos(b)) = 0
 
-The quadcos shape is solved by stationary-point subdivision: G'' has at most
-two closed-form roots, so G' is piecewise monotone and its roots bracket the
-monotone pieces of G, each holding at most one root.  The sinusoid is solved
-analytically.  The envelope shape has no closed-form derivative chain, so it
-is isolated exhaustively with a Lipschitz guard: a cell can be discarded once
-both endpoint magnitudes exceed what a root inside could allow, with a
-second-order certificate handling the neighbourhood of grazing roots.
+The sinusoid is solved analytically.  The other two shapes share one idea:
+every stationary point of G is found first, from critical points known in
+closed form, so that G is monotone between consecutive stationary points and
+each of those pieces holds at most one sign change (``_monotone_roots``).
 
-All returned roots are polished with safeguarded Newton to machine precision;
-brackets certify enclosure.  Roots where the function touches zero without a
-sign change are reported separately as tangential.
+* quadcos: G'' = 2*c1 - c3*cos(b) has at most two roots (an arccosine), so G'
+  is monotone on at most three pieces and has at most one root on each.
+* envelope: G' = P*sin(b) + Q*cos(b) = R*sin(h) with P = f4 - f3 - f5*b,
+  Q = f2 + f5 + f4*b, R = hypot(P, Q) and the phase h = b + phi, where phi
+  is the polar angle of (P, Q).  That point moves along a straight line, so
+  phi is monotone and sweeps less than pi, and K = P*Q' - Q*P' =
+  f4^2 + f5^2 - f3*f4 + f2*f5 is a constant.  h' = 1 + K/R^2 vanishes only
+  where R^2 = -K, a quadratic in b: at most two critical points of h.  G' = 0
+  where h crosses a multiple of pi, found by a bracketed solve on each
+  monotone piece of h, and at the point where P = Q = 0, which exists only
+  when K = 0 (phi jumps by pi there).
+
+Every bracketed solve is a safeguarded Newton iteration polished to machine
+precision; brackets certify enclosure.  Stationary points where |G| stays
+within the feasibility slack are reported separately as tangential roots.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import TWO_PI, ToleranceSet
+from .geometry import TWO_PI, ToleranceSet, mod2pi
 
 _MERGE_EPS = 1e-11
 
@@ -119,35 +128,43 @@ def _refine(fused, lo: float, hi: float, flo: float) -> tuple[float, float, floa
 
     ``fused(x)`` returns (value, derivative).  Newton steps that leave the
     current bracket fall back to bisection, so convergence is guaranteed; the
-    returned bracket encloses the root at machine width."""
+    returned bracket encloses the root at machine width, and the root is the
+    bracket end where |value| is smaller."""
     x = 0.5 * (lo + hi)
     neg = flo < 0.0
+    alo, ahi = abs(flo), math.inf
     for _ in range(120):
         fx, dx = fused(x)
         if fx == 0.0:
             return x, x, x
         if neg != (fx < 0.0):
-            hi = x
+            hi, ahi = x, abs(fx)
         else:
-            lo = x
-        if hi - lo <= 1e-14 + 4.0e-16 * hi:
+            lo, alo = x, abs(fx)
+        width = 1e-14 + 4.0e-16 * hi
+        if hi - lo <= width:
             break
         if dx != 0.0:
-            xn = x - fx / dx
+            step = fx / dx
+            if abs(step) < 0.5 * width:
+                # Converged from one side: step just past the root so that the
+                # bracket closes, instead of bisecting the far end down.
+                step = math.copysign(0.5 * width, step)
+            xn = x - step
             if lo < xn < hi:
                 x = xn
                 continue
         x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi), lo, hi
+    return (lo if alo <= ahi else hi), lo, hi
 
 
 class _Collector:
     """Accumulates roots while deduplicating near-coincident detections.
 
-    Sign-change roots merge within a machine-scale window.  Tangential
-    detections are double roots: located only to the width of the float
-    plateau where the function rounds to zero (up to ~1e-7), so they merge
-    over a wider window and always yield to a nearby sign-change root.
+    Sign-change roots merge within a machine-scale window.  A tangential
+    detection (a stationary point where |G| is within the feasibility slack)
+    merges over a wider window and yields to a nearby sign-change root: both
+    see the same near-double contact, which is reported once.
     """
 
     _TANGENT_MERGE = 1e-6
@@ -177,6 +194,30 @@ class _Collector:
         )
 
 
+def _monotone_roots(g, g_fused, lo: float, hi: float, stationary, graze: float) -> RootSet:
+    """Roots of G on [lo, hi), given every stationary point of G there.
+
+    G is monotone between consecutive points of {lo, hi} and ``stationary``,
+    so each piece holds at most one sign change, found by a bracketed solve.
+    A knot where G is exactly zero counts once; a stationary point where |G|
+    is within ``graze`` is a tangential (grazing) root.
+    """
+    collector = _Collector(g)
+    pts = sorted({lo, hi, *stationary})
+    gvals = [g(p) for p in pts]
+    for i in range(len(pts) - 1):
+        fa, fb = gvals[i], gvals[i + 1]
+        if fa == 0.0:
+            collector.add(pts[i], pts[i], pts[i], _zero_is_grazing(g, pts[i], lo, hi))
+        elif fa * fb < 0.0:
+            r, rlo, rhi = _refine(g_fused, pts[i], pts[i + 1], fa)
+            collector.add(r, rlo, rhi, False)
+    for p, gv in zip(pts, gvals):
+        if p in stationary and abs(gv) <= graze:
+            collector.add(p, p, p, True)
+    return collector.build()
+
+
 def solve_quadcos(
     coeffs: QuadCosCoeffs,
     tol: ToleranceSet | None = None,
@@ -187,8 +228,8 @@ def solve_quadcos(
 
     Subdivision order: the at-most-two closed-form roots of G'' split the
     domain into pieces where G' is monotone; bracketed solves give every root
-    of G'; those stationary points in turn split the domain into pieces where
-    G itself is monotone.  Left endpoints that are exact zeros count once.
+    of G' (at most three); those stationary points in turn split the domain
+    into at most four pieces where G itself is monotone.
     """
     tol = tol or _DEFAULT_TOL
     lo, hi = domain if domain is not None else (0.0, TWO_PI)
@@ -244,26 +285,7 @@ def solve_quadcos(
             r, _, _ = _refine(gp_fused, knots[i], knots[i + 1], fa)
             stationary.append(r)
 
-    # Roots of G between consecutive stationary points.
-    collector = _Collector(g)
-    pts = sorted({lo, hi, *stationary})
-    gvals = [g(p) for p in pts]
-    for i in range(len(pts) - 1):
-        fa, fb = gvals[i], gvals[i + 1]
-        if fa == 0.0:
-            collector.add(pts[i], pts[i], pts[i], _zero_is_grazing(g, pts[i], lo, hi))
-        elif fa * fb < 0.0:
-            r, rlo, rhi = _refine(g_fused, pts[i], pts[i + 1], fa)
-            collector.add(r, rlo, rhi, False)
-
-    # Grazing contact at a stationary point of G: zero touch without sign change.
-    graze = tol.feas_tol * (1.0 + abs(c1) + abs(c2) + abs(c3) + abs(c4))
-    for p, gv in zip(pts, gvals):
-        if p in (lo, hi) and p not in stationary:
-            continue
-        if abs(gv) <= graze:
-            collector.add(p, p, p, True)
-    return collector.build()
+    return _monotone_roots(g, g_fused, lo, hi, stationary, tol.feas_tol * coeffs.scale)
 
 
 def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet | None = None) -> RootSet:
@@ -291,12 +313,12 @@ def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet | None = None) -> R
         return collector.build()
     if abs(s) >= 1.0 - band:
         # Grazing: R*sin(b + phi) = -e1 with |e1| ~ R.
-        b = _wrap(math.copysign(math.pi / 2.0, s) - phi)
+        b = mod2pi(math.copysign(math.pi / 2.0, s) - phi)
         collector.add(b, b, b, True)
         return collector.build()
     psi = math.asin(s)
     for cand in (psi - phi, math.pi - psi - phi):
-        b = _wrap(cand)
+        b = mod2pi(cand)
         collector.add(b, b, b, False)
     return collector.build()
 
@@ -307,15 +329,18 @@ def solve_envelope(
     domain: tuple[float, float] | None = None,
 ) -> RootSet:
     """All roots of f1 + f2*sin(b) + f3*cos(b) + b*(f4*sin(b) + f5*cos(b)) on
-    [0, 2*pi) (or a subinterval) by Lipschitz-guarded exhaustive isolation.
+    [0, 2*pi), or on a half-open subinterval of it when ``domain`` narrows the
+    search.
 
-    With L >= sup|G'| a cell [a, b] cannot contain a root once both |G(a)| and
-    |G(b)| exceed L*(b-a)/2, so such cells are discarded.  Sign-change cells
-    shrink until G is provably monotone there (via a bound on G''), then a
-    bracketed solve finishes.  Same-sign cells that survive a second-order
-    midpoint certificate split recursively down to root_tol; a refined cell
-    whose magnitude stays below the feasibility slack is reported as a
-    tangential (grazing) root.
+    The cost is bounded whatever the coefficients.  h is monotone on at most
+    three pieces, and a piece whose image has length V holds at most
+    ceil(V/pi) multiples of pi.  For K > 0, h rises by less than 2*pi + pi:
+    at most three roots of G'.  For K < 0, h falls by less than pi between
+    its critical points and rises by at most 2*pi elsewhere: at most 1 + 3.
+    For K = 0, G' = (b - b0)*|d|*sin(b + theta): at most 1 + 2.  So G has at
+    most four stationary points and five monotone pieces, which takes at
+    most nine bracketed solves (four for h, five for G) of at most 120 steps
+    each, plus fewer than 30 single evaluations at knots.
     """
     tol = tol or _DEFAULT_TOL
     lo, hi = domain if domain is not None else (0.0, TWO_PI)
@@ -333,66 +358,57 @@ def solve_envelope(
             f2 * c - f3 * s + f4 * s + f5 * c + b * (f4 * c - f5 * s),
         )
 
-    collector = _Collector(g)
     if not hi > lo:
-        return collector.build()
-
-    env = abs(f4) + abs(f5)
-    lip1 = abs(f2) + abs(f3) + env * (1.0 + TWO_PI)          # sup|G'|
-    lip2 = abs(f2) + abs(f3) + env * (2.0 + TWO_PI)          # sup|G''|
-    graze = tol.feas_tol * (1.0 + abs(f1) + abs(f2) + abs(f3) + env)
-    root_tol = tol.root_tol
-
-    n0 = max(4, int(64 * (hi - lo) / TWO_PI))
-    h0 = (hi - lo) / n0
-    grid = [lo + i * h0 for i in range(n0)] + [hi]
-    vals = [g(x) for x in grid]
-    stack = [(grid[i], grid[i + 1], vals[i], vals[i + 1]) for i in range(n0 - 1, -1, -1)]
-
-    while stack:
-        a, b, fa, fb = stack.pop()
-        if fa == 0.0:
-            collector.add(a, a, a, _zero_is_grazing(g, a, lo, hi))
-            # Keep scanning the cell interior past the exact zero.
-            a2 = a + max(root_tol, (b - a) * 1e-9)
-            if a2 >= b:
-                continue
-            a, fa = a2, g(a2)
-            if fa == 0.0:
-                continue
-        width = b - a
-        if fa * fb < 0.0:
-            # Provably monotone => unique root; otherwise keep splitting.
-            m = 0.5 * (a + b)
-            fm, dm = g_fused(m)
-            if abs(dm) - 0.5 * lip2 * width > 0.0 or width <= root_tol:
-                r, rlo, rhi = _refine(g_fused, a, b, fa)
-                collector.add(r, rlo, rhi, False)
-                continue
-        else:
-            if min(abs(fa), abs(fb)) > 0.5 * lip1 * width:
-                continue
-            # Second-order certificate: around a grazing (double) root the
-            # first-order guard never fires, but a Taylor bound from the
-            # midpoint still proves most nearby cells root-free.
-            m = 0.5 * (a + b)
-            fm, dm = g_fused(m)
-            if abs(fm) - 0.5 * width * abs(dm) - 0.125 * lip2 * width * width > 0.0:
-                continue
-            if width <= root_tol:
-                vals3 = ((abs(fa), a), (abs(fm), m), (abs(fb), b))
-                low, arg = min(vals3)
-                if low <= graze:
-                    collector.add(arg, a, b, True)
-                continue
-        stack.append((m, b, fm, fb))
-        stack.append((a, m, fa, fm))
-    return collector.build()
+        return _Collector(g).build()
+    stationary = _envelope_stationary(coeffs, lo, hi)
+    return _monotone_roots(g, g_fused, lo, hi, stationary, tol.feas_tol * coeffs.scale)
 
 
-def _wrap(a: float) -> float:
-    r = a % TWO_PI
-    return 0.0 if r >= TWO_PI else r
+def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[float]:
+    """Every root of the envelope shape's G' on [lo, hi): at most four.
+
+    With d = (P', Q') = (-f5, f4), a = |d|^2 and b0 = -(f2*f4 + f3*f5)/a,
+    where (P, Q) passes closest to the origin, the polar angle of (P, Q) is
+    phi(b) = atan2(f4, -f5) + atan2(-K, a*(b - b0)), continuous for K != 0.
+    For K = 0 the line runs through the origin (or (P, Q) stands still, when
+    a = 0), and G' = (b - b0)*|d|*sin(b + theta) gives the roots directly.
+    """
+    f2, f3, f4, f5 = coeffs.f2, coeffs.f3, coeffs.f4, coeffs.f5
+    pi, atan2 = math.pi, math.atan2
+    a = f4 * f4 + f5 * f5
+    cross = f2 * f4 + f3 * f5
+    k = a - f3 * f4 + f2 * f5
+    if k == 0.0:
+        theta = atan2(f4, -f5) if a > 0.0 else atan2(f2, -f3)
+        first = math.floor((lo + theta) / pi)
+        found = [j * pi - theta for j in range(first, first + 4)]
+        if a > 0.0:
+            found.append(-cross / a)
+        return sorted({b for b in found if lo <= b < hi})
+
+    theta = atan2(f4, -f5)
+
+    def phase(b: float, level: float = 0.0) -> tuple[float, float]:
+        x = a * b + cross
+        return b + theta + atan2(-k, x) - level, 1.0 + k * a / (k * k + x * x)
+
+    knots = [lo]
+    if k < 0.0 and a + k >= 0.0:
+        b0, half = -cross / a, math.sqrt(-k * (a + k)) / a
+        knots += [c for c in (b0 - half, b0 + half) if lo < c < hi]
+    knots.append(hi)
+    phases = [phase(c)[0] for c in knots]
+    found = []
+    for p, q, hp, hq in zip(knots, knots[1:], phases, phases[1:]):
+        low, high = min(hp, hq), max(hp, hq)
+        for j in range(math.floor(low / pi), math.ceil(high / pi) + 1):
+            level = j * pi
+            if level == hp:
+                found.append(p)
+            elif low < level < high:
+                r, _, _ = _refine(lambda b: phase(b, level), p, q, hp - level)
+                found.append(r)
+    return found
 
 
 _DEFAULT_TOL = ToleranceSet()

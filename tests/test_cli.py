@@ -194,6 +194,25 @@ def test_batch_bad_line(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("line", ["0.1 0.2 nan 1 10 1", "0.1 0.2 1e300 1 10 1"])
+def test_batch_out_of_domain_line(tmp_path, capsys, line):
+    path = tmp_path / "scenarios.txt"
+    path.write_text(line + "\n")
+    status, out, err = run_cli(capsys, "batch", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: argument FILE: line 1: ") and err.count("\n") == 1
+
+
+def test_plan_error_names_the_bad_field(capsys):
+    status, _, err = run_cli(
+        capsys, "plan", "--wind", "0,0", "--target", "nan,1",
+        "--theta-f-deg", "0", "--rho", "1",
+    )
+    assert status == 1
+    assert "target_x" in err and "--rho" not in err
+
+
 def test_batch_missing_file(capsys):
     status, _, err = run_cli(capsys, "batch", "/nonexistent/file.txt")
     assert status == 1

@@ -47,9 +47,6 @@ def test_wind_vector_rejects_fast_wind():
 def test_tolerances_positive():
     with pytest.raises(ValueError):
         ToleranceSet(feas_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceSet(root_tol=-1e-10)
-    assert ToleranceSet().root_tol <= 1e-10
 
 
 def test_scenario_rejects_bad_rho():
@@ -57,6 +54,27 @@ def test_scenario_rejects_bad_rho():
         Scenario(wind=WindVector(0, 0), target_x=1, target_y=0, theta_f=0, rho=0.0)
     with pytest.raises(ValueError):
         Scenario(wind=WindVector(0, 0), target_x=1, target_y=0, theta_f=0, rho=-2.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("target_x", math.nan), ("target_y", math.inf), ("theta_f", -math.inf),
+     ("start", (0.0, math.nan, 0.0)), ("start", (0.0, 0.0, math.inf))],
+)
+def test_scenario_rejects_nonfinite(field, value):
+    kwargs = dict(wind=WindVector(0, 0), target_x=1.0, target_y=0.0, theta_f=0.0, rho=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        Scenario(**kwargs)
+
+
+def test_scenario_goal_range():
+    # Supported up to 1e6 turn radii from the start, at any radius.
+    Scenario(wind=WindVector(0, 0), target_x=0.0, target_y=0.99e6 * 0.01, theta_f=0, rho=0.01)
+    Scenario(wind=WindVector(0, 0), target_x=1e6, target_y=5.0, theta_f=0, rho=1.0, start=(1.0, 5.0, 0.0))
+    for x in (1.01e6, 1e160, 1e300):
+        with pytest.raises(ValueError, match="turn radii"):
+            Scenario(wind=WindVector(0, 0), target_x=x, target_y=0.0, theta_f=0, rho=1.0)
 
 
 def test_control_schedule_validation():

@@ -25,6 +25,7 @@ from conftest import (
     CASE1_TIMES,
     CASE2_TIMES,
     make_case1,
+    make_case2,
     mirrored,
     random_scenario,
 )
@@ -207,14 +208,26 @@ def test_plan_arbitrary_start_pose_round_trip():
 
 def test_mirror_equivariance():
     rng = random.Random(92)
-    for _ in range(50):
-        sc = random_scenario(rng)
+    # Roots on wrap-branch boundaries (beta = pi/2 or theta_f), where an arc
+    # is either empty or a full turn: reference case 2 and two such goals.
+    boundary = [
+        make_case2(),
+        Scenario(wind=WindVector(0.5, 0.0), target_x=-2.0, target_y=-1.0, theta_f=math.pi, rho=1.0),
+        Scenario(wind=WindVector(0.0, -0.5), target_x=-1.0, target_y=-1.0, theta_f=0.0, rho=1.0),
+    ]
+    for sc in [random_scenario(rng) for _ in range(50)] + boundary:
         res = plan(sc)
         mres = plan(mirrored(sc))
         assert mres.feasible == res.feasible
         if res.feasible:
             assert mres.t_f == pytest.approx(res.t_f, abs=1e-9)
             assert mres.best.variant is MIRROR_VARIANT[res.best.variant]
+        # The whole candidate set mirrors, not only the winner.
+        expected = sorted((MIRROR_VARIANT[c.variant].order, c.total_time) for c in res.all_candidates)
+        got = sorted((c.variant.order, c.total_time) for c in mres.all_candidates)
+        assert [v for v, _ in got] == [v for v, _ in expected]
+        for (_, t), (_, mt) in zip(expected, got):
+            assert mt == pytest.approx(t, abs=1e-9)
 
 
 def test_scale_covariance():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from windubins import (
@@ -13,6 +14,7 @@ from windubins import (
     solve_sinusoid,
 )
 from windubins.geometry import TWO_PI
+from windubins.rootfind import _envelope_stationary
 
 from grid_oracle import dense_grid_roots, envelope_fn, match_root_sets, quadcos_fn
 
@@ -64,7 +66,7 @@ def test_quadcos_residuals_and_brackets():
         for root, (lo, hi), res, tang in zip(rs.roots, rs.brackets, rs.residuals, rs.tangential):
             if tang:
                 continue
-            assert hi - lo <= TOL.root_tol
+            assert hi - lo <= 1e-10
             assert lo <= root <= hi
             assert res <= 1e-9 * coeffs.scale
 
@@ -169,7 +171,7 @@ def test_envelope_residuals_and_brackets():
         for root, (lo, hi), res, tang in zip(rs.roots, rs.brackets, rs.residuals, rs.tangential):
             if tang:
                 continue
-            assert hi - lo <= TOL.root_tol
+            assert hi - lo <= 1e-10
             assert res <= 1e-9 * coeffs.scale
 
 
@@ -184,3 +186,36 @@ def test_envelope_tangential_double_root():
 def test_envelope_deterministic():
     coeffs = EnvelopeCoeffs(0.7, -3.0, 2.0, 1.1, -0.4)
     assert solve_envelope(coeffs, TOL).roots == solve_envelope(coeffs, TOL).roots
+
+
+def test_envelope_phase_jump_at_origin_crossing():
+    # G' = (2 - b)*sin(b): (P, Q) = (2 - b, 0) passes through the origin at
+    # b = 2, where the phase jumps by pi and G' vanishes without h = k*pi.
+    f = (1.0, -1.0, -2.0, 0.0, 1.0)
+    rs = solve_envelope(EnvelopeCoeffs(*f), TOL)
+    assert match_root_sets(rs.roots, [math.pi / 2, 2.5031916288, 3.5889535156], tol=1e-9)
+    assert match_root_sets(rs.simple_roots, dense_grid_roots(envelope_fn(*f)), tol=1e-6)
+
+
+def test_envelope_double_root_at_domain_edge():
+    # Same G' with G(0) = 0: G ~ b^2 at the edge, a single root there.
+    rs = solve_envelope(EnvelopeCoeffs(2.0, -1.0, -2.0, 0.0, 1.0), TOL)
+    assert rs.roots == (0.0,)
+
+
+def test_envelope_stationary_points_bounded_and_complete():
+    # Criterion 6's envelope draws: every root of G' is found, never more
+    # than the four the phase argument allows.
+    rng = random.Random(66001)
+    for _ in range(4000):  # the quadcos draws come first
+        rng.uniform(-10.0, 10.0)
+    for _ in range(1000):
+        f1, f2, f3, f4, f5 = (rng.uniform(-10.0, 10.0) for _ in range(5))
+        found = _envelope_stationary(EnvelopeCoeffs(f1, f2, f3, f4, f5), 0.0, TWO_PI)
+        assert len(found) <= 4
+
+        def gp(b):
+            return (f2 + f5) * np.cos(b) + (f4 - f3) * np.sin(b) + b * (f4 * np.cos(b) - f5 * np.sin(b))
+
+        expected = dense_grid_roots(gp, n=200_000)
+        assert match_root_sets(found, expected, tol=1e-6), (f1, f2, f3, f4, f5, found, expected)
