@@ -8,7 +8,6 @@ returns the global minimum together with every feasible candidate.
 
 from .families import (
     Family,
-    FamilyTag,
     MIRROR_VARIANT,
     PathCandidate,
     SegmentParams,
@@ -55,7 +54,6 @@ __all__ = [
     "ControlSchedule",
     "EnvelopeCoeffs",
     "Family",
-    "FamilyTag",
     "MIRROR_VARIANT",
     "PathCandidate",
     "PlanResult",

@@ -2,24 +2,30 @@
 
 Every minimum-time path is a member (or degenerate member) of one of four
 families, written with S for a straight segment, R/L for clockwise and
-counterclockwise arcs of radius rho:
+counterclockwise arcs:
 
   SC2pi  straight, then one full circle           (SR2pi, SL2pi)
   CC2pi  arc, then one full opposite circle       (RL2pi, LR2pi)
   CCC    three arcs with alternating direction    (RL<piR, RL>piR, LR<piL, LR>piL)
   CSC    arc, straight, arc                       (RSR, RSL, LSR, LSL)
 
-Each solver below takes a normalized scenario (start pose (0, 0, pi/2)),
-reduces its family's interception conditions to one of the root shapes in
-``rootfind``, reconstructs the segment parameters for every root, and keeps
-only candidates whose forward-integrated endpoint actually meets the moving
+The family solvers below work on one canonical problem: start pose
+(0, 0, pi/2) and unit turn radius, so every length is in turn radii and an
+arc's duration equals its radians.  ``solve_all`` is the only function that
+knows rho: it divides the goal by rho, runs the four solvers and multiplies
+each candidate's times and lengths back.  Each solver reduces its family's
+interception conditions to one of the root shapes in ``rootfind``,
+reconstructs the segment parameters for every root, and keeps only
+candidates whose forward-integrated endpoint actually meets the moving
 target.  Integration is the final arbiter for every emitted candidate.
 
-Derivation conventions used throughout (unit speed, first arc from the
-origin):
+Derivation conventions used throughout (unit speed, unit radius, first arc
+from the origin):
 
-* R arcs start on the circle centred at (rho, 0), L arcs at (-rho, 0); a
-  clockwise turn decreases the heading, counterclockwise increases it.
+* A variant's turn directions are sigma (first arc) and kappa (last arc),
+  -1 for R (clockwise, heading decreases) and +1 for L.  Each formula is
+  written once in them; the variants of a family differ in nothing else.
+  The first arc starts on the circle centred at (-sigma, 0).
 * Arc radians follow from heading bookkeeping alone, so for CSC paths the
   straight-segment heading determines the first and last arcs up to full
   turns (the wrap branch), which is enumerated and filtered.
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .geometry import (
     HALF_PI,
@@ -70,7 +76,13 @@ class Family(enum.Enum):
 
 
 class Variant(enum.Enum):
-    """Concrete path type; enum order is the deterministic tie-break order."""
+    """Concrete path type; enum order is the deterministic tie-break order,
+    kept in ``order``.
+
+    sigma is the direction of the first arc (of the circle, for SC); kappa
+    that of the last arc for CSC, and 0 elsewhere, where the last arc
+    follows from sigma.
+    """
 
     SR2PI = ("SR2pi", Family.SC, -1, 0)
     SL2PI = ("SL2pi", Family.SC, 1, 0)
@@ -91,40 +103,22 @@ class Variant(enum.Enum):
         self.sigma = sigma
         self.kappa = kappa
 
-    @property
-    def order(self) -> int:
-        return list(type(self)).index(self)
 
+for _order, _variant in enumerate(Variant):
+    _variant.order = _order
+del _order, _variant
+
+_BY_LABEL = {v.label: v for v in Variant}
 
 #: L/R reflection of each variant (mirror across the y-axis of the start frame)
-MIRROR_VARIANT = {
-    Variant.SR2PI: Variant.SL2PI,
-    Variant.SL2PI: Variant.SR2PI,
-    Variant.RL2PI: Variant.LR2PI,
-    Variant.LR2PI: Variant.RL2PI,
-    Variant.RLR_SHORT: Variant.LRL_SHORT,
-    Variant.RLR_LONG: Variant.LRL_LONG,
-    Variant.LRL_SHORT: Variant.RLR_SHORT,
-    Variant.LRL_LONG: Variant.RLR_LONG,
-    Variant.RSR: Variant.LSL,
-    Variant.RSL: Variant.LSR,
-    Variant.LSR: Variant.RSL,
-    Variant.LSL: Variant.RSR,
+MIRROR_VARIANT = {v: _BY_LABEL[v.label.translate(str.maketrans("RL", "LR"))] for v in Variant}
+
+_CCC_VARIANT = {  # (sigma, middle arc beyond pi)
+    (-1, False): Variant.RLR_SHORT,
+    (-1, True): Variant.RLR_LONG,
+    (1, False): Variant.LRL_SHORT,
+    (1, True): Variant.LRL_LONG,
 }
-
-
-@dataclass(frozen=True)
-class FamilyTag:
-    family: Family
-    variant: Variant
-
-    def __post_init__(self) -> None:
-        if self.variant.family is not self.family:
-            raise ValueError(f"variant {self.variant} does not belong to family {self.family}")
-
-    @classmethod
-    def of(cls, variant: Variant) -> "FamilyTag":
-        return cls(variant.family, variant)
 
 
 @dataclass(frozen=True)
@@ -133,30 +127,22 @@ class SegmentParams:
 
     alpha, beta, gamma are arc radians in [0, 2*pi) (beta doubles as the
     straight-segment heading for CSC, whose alpha or gamma reaches 2*pi when
-    a root sits on a wrap-branch boundary), d is the straight length, n the wrap
-    branch index, sigma/kappa the first/last turn directions.
+    a root sits on a wrap-branch boundary), d is the straight length.
     """
 
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 0.0
     d: float = 0.0
-    n: int = 0
-    sigma: int = 0
-    kappa: int = 0
 
 
 @dataclass(frozen=True)
 class PathCandidate:
-    tag: FamilyTag
+    variant: Variant
     params: SegmentParams
     total_time: float
     schedule: ControlSchedule
     residual: float
-
-    @property
-    def variant(self) -> Variant:
-        return self.tag.variant
 
 
 _START = RelativeState(0.0, 0.0, HALF_PI)
@@ -171,17 +157,12 @@ def _finish(
     """Forward-integrate and accept the candidate only if it meets the moving
     target in position and heading at its own total time."""
     total = schedule.total_duration
-    if not (total > 0.0) or not math.isfinite(total):
-        return None
-    end = integrate(_START, schedule, scenario.rho)
+    end = integrate(_START, schedule, 1.0)
     tx, ty = target_relative(scenario, total)
     residual = math.hypot(end.x - tx, end.y - ty)
-    tol = scenario.tol
-    if residual > tol.residual_tol * (1.0 + total):
+    if not scenario.tol.accepts(total, residual, ang_dist(end.theta, scenario.theta_f), 1.0):
         return None
-    if ang_dist(end.theta, scenario.theta_f) > tol.feas_tol:
-        return None
-    return PathCandidate(FamilyTag.of(variant), params, total, schedule, residual)
+    return PathCandidate(variant, params, total, schedule, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +170,8 @@ def _finish(
 
 
 def solve_sc(scenario: Scenario) -> list[PathCandidate]:
-    """Both SC2pi orientations, or [] when the family is infeasible.
+    """Both SC2pi orientations of a unit-radius normalized scenario, or []
+    when the family is infeasible.
 
     Exists only for final heading pi/2: the path goes straight up some length
     d and then flies one full circle back to the same pose.  d follows in
@@ -201,21 +183,19 @@ def solve_sc(scenario: Scenario) -> list[PathCandidate]:
     tol = scenario.tol
     if ang_dist(scenario.theta_f, HALF_PI) > tol.feas_tol:
         return []
-    rho = scenario.rho
     wy = scenario.wind.wy
-    d = (scenario.target_y - TWO_PI * rho * wy) / (1.0 + wy)
+    d = (scenario.target_y - TWO_PI * wy) / (1.0 + wy)
     if d < -tol.feas_tol:
         return []
     d = max(d, 0.0)
-    total = d + TWO_PI * rho
+    total = d + TWO_PI
     tx, ty = target_relative(scenario, total)
     if math.hypot(tx, ty - d) > tol.feas_tol * (1.0 + total):
         return []
     out = []
     for variant in (Variant.SR2PI, Variant.SL2PI):
-        schedule = ControlSchedule(((0, d), (variant.sigma, TWO_PI * rho)))
-        params = SegmentParams(d=d, sigma=variant.sigma)
-        cand = _finish(scenario, variant, params, schedule)
+        schedule = ControlSchedule(((0, d), (variant.sigma, TWO_PI)))
+        cand = _finish(scenario, variant, SegmentParams(d=d), schedule)
         if cand is not None:
             out.append(cand)
     return out
@@ -226,7 +206,7 @@ def solve_sc(scenario: Scenario) -> list[PathCandidate]:
 
 
 def solve_cc(scenario: Scenario) -> list[PathCandidate]:
-    """Both CC2pi orientations.
+    """Both CC2pi orientations of a unit-radius normalized scenario.
 
     The endpoint lies on the first-arc circle, so the interception identity
     squares into a quadratic in the first-arc radian.  Every real root in
@@ -234,51 +214,36 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
     moving target; the global minimum is taken later by the planner.
     """
     tol = scenario.tol
-    rho = scenario.rho
     wx, wy = scenario.wind.wx, scenario.wind.wy
     X, Y = scenario.target
-    th_f = scenario.theta_f
     ww = wx * wx + wy * wy
     out = []
     for variant in (Variant.RL2PI, Variant.LR2PI):
         sigma = variant.sigma
-        cx = -sigma * rho  # first-circle centre: (rho, 0) for R, (-rho, 0) for L
-        alpha_head = mod2pi(HALF_PI - th_f) if sigma == -1 else mod2pi(th_f - HALF_PI)
-        # Circle condition (X - cx - T*wx)^2 + (Y - T*wy)^2 = rho^2, T = rho*(a + 2*pi).
+        cx = -sigma  # first-circle centre (cx, 0)
+        alpha_head = mod2pi(sigma * (scenario.theta_f - HALF_PI))
+        # Circle condition (X - cx - T*wx)^2 + (Y - T*wy)^2 = 1, T = a + 2*pi.
         if ww < ZERO_WIND_EPS * ZERO_WIND_EPS:
-            on_circle = (X - cx) ** 2 + Y * Y - rho * rho
+            on_circle = (X - cx) ** 2 + Y * Y - 1.0
             roots = [alpha_head] if abs(on_circle) <= tol.feas_tol * (1.0 + X * X + Y * Y) else []
         else:
-            a1 = rho * rho * ww
             proj = (X - cx) * wx + Y * wy
-            a2 = 4.0 * math.pi * rho * rho * ww - 2.0 * rho * proj
-            a3 = (
-                4.0 * math.pi * math.pi * rho * rho * ww
-                - 4.0 * math.pi * rho * proj
-                + (X - cx) ** 2
-                + Y * Y
-                - rho * rho
-            )
-            roots = _real_quadratic_roots(a1, a2, a3)
+            a2 = 4.0 * math.pi * ww - 2.0 * proj
+            a3 = 4.0 * math.pi * math.pi * ww - 4.0 * math.pi * proj + (X - cx) ** 2 + Y * Y - 1.0
+            roots = _real_quadratic_roots(ww, a2, a3)
         for alpha in roots:
             if not (-tol.feas_tol <= alpha < TWO_PI):
                 continue
             alpha = max(alpha, 0.0)
             if ang_dist(alpha, alpha_head) > tol.feas_tol:
                 continue
-            total = rho * (alpha + TWO_PI)
-            ex = cx + rho * math.cos(alpha) if sigma == 1 else cx - rho * math.cos(alpha)
-            ey = rho * math.sin(alpha)
+            total = alpha + TWO_PI
             tx, ty = target_relative(scenario, total)
+            ex, ey = cx + sigma * math.cos(alpha), math.sin(alpha)
             if math.hypot(ex - tx, ey - ty) > tol.feas_tol * (1.0 + total):
                 continue
-            if sigma == -1:
-                n = round((th_f - HALF_PI + alpha) / TWO_PI)
-            else:
-                n = round((alpha + HALF_PI - th_f) / TWO_PI)
-            schedule = ControlSchedule(((sigma, rho * alpha), (-sigma, TWO_PI * rho)))
-            params = SegmentParams(alpha=alpha, n=n, sigma=sigma)
-            cand = _finish(scenario, variant, params, schedule)
+            schedule = ControlSchedule(((sigma, alpha), (-sigma, TWO_PI)))
+            cand = _finish(scenario, variant, SegmentParams(alpha=alpha), schedule)
             if cand is not None:
                 out.append(cand)
     return _dedupe(out)
@@ -313,28 +278,19 @@ def _ccc_coeffs(scenario: Scenario, sigma: int, n: int) -> tuple[QuadCosCoeffs, 
     and the tangency of the first/last circles with the middle one squares
     into G(beta) = c1*b^2 + c2*b + c3*cos b + c4.
     """
-    rho = scenario.rho
     wx, wy = scenario.wind.wx, scenario.wind.wy
     X, Y = scenario.target
     th_f = scenario.theta_f
-    if sigma == -1:
-        base = HALF_PI - th_f + 2.0 * n * math.pi
-        m = -X + rho * wx * base - rho * math.sin(th_f) + rho
-        nn = Y - rho * wy * base - rho * math.cos(th_f)
-        c2 = 4.0 * rho * (m * wx - nn * wy)
-    else:
-        base = th_f - HALF_PI - 2.0 * n * math.pi
-        m = X - rho * wx * base - rho * math.sin(th_f) + rho
-        nn = Y - rho * wy * base + rho * math.cos(th_f)
-        c2 = -4.0 * rho * (m * wx + nn * wy)
-    c1 = 4.0 * rho * rho * (wx * wx + wy * wy)
-    c3 = 8.0 * rho * rho
-    c4 = m * m + nn * nn - 8.0 * rho * rho
-    return QuadCosCoeffs(c1, c2, c3, c4), base, m, nn
+    base = sigma * (th_f - HALF_PI - 2.0 * n * math.pi)
+    m = sigma * (X - wx * base) - math.sin(th_f) + 1.0
+    nn = Y - wy * base + sigma * math.cos(th_f)
+    c2 = -4.0 * (sigma * m * wx + nn * wy)
+    return QuadCosCoeffs(4.0 * (wx * wx + wy * wy), c2, 8.0, m * m + nn * nn - 8.0), base, m, nn
 
 
 def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
-    """All CCC candidates over both orientations and the wrap-branch window.
+    """All CCC candidates of a unit-radius normalized scenario, over both
+    orientations and the wrap-branch window.
 
     For each root beta of the branch equation, the first-arc radian follows
     jointly from the two circle-tangency components (atan2, so no branch
@@ -344,11 +300,10 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
     recovery divides by sin(beta/2)) and are served by other families.
     """
     tol = scenario.tol
-    rho = scenario.rho
     wx, wy = scenario.wind.wx, scenario.wind.wy
-    th_f = scenario.theta_f
     out = []
     for sigma in (-1, 1):
+        head = sigma * (scenario.theta_f - HALF_PI)
         for n in _CCC_BRANCHES:
             coeffs, base, m, nn = _ccc_coeffs(scenario, sigma, n)
             # Branch window: total time positive and alpha + gamma in [0, 4*pi)
@@ -359,33 +314,20 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
             if hi <= lo:
                 continue
             for beta in solve_quadcos(coeffs, tol, domain=(lo, hi)).roots:
-                s_half = math.sin(0.5 * beta)
-                if s_half <= tol.zero_angle_eps:
+                if math.sin(0.5 * beta) <= tol.zero_angle_eps:
                     continue
                 tau = base + 2.0 * beta
                 if tau <= 0.0:
                     continue
-                if sigma == -1:
-                    a_comp = m + 2.0 * rho * wx * beta
-                    b_comp = nn - 2.0 * rho * wy * beta
-                    alpha = mod2pi(0.5 * beta + math.atan2(-a_comp, b_comp))
-                    gamma = mod2pi(HALF_PI - alpha + beta - th_f)
-                else:
-                    a_comp = m - 2.0 * rho * wx * beta
-                    b_comp = nn - 2.0 * rho * wy * beta
-                    alpha = mod2pi(0.5 * beta + math.atan2(-a_comp, b_comp))
-                    gamma = mod2pi(th_f - HALF_PI - alpha + beta)
+                a_comp = m - 2.0 * sigma * wx * beta
+                b_comp = nn - 2.0 * wy * beta
+                alpha = mod2pi(0.5 * beta + math.atan2(-a_comp, b_comp))
+                gamma = mod2pi(head - alpha + beta)
                 if abs(alpha + beta + gamma - tau) > _BRANCH_TOL:
                     continue
-                if sigma == -1:
-                    variant = Variant.RLR_SHORT if beta < math.pi else Variant.RLR_LONG
-                else:
-                    variant = Variant.LRL_SHORT if beta < math.pi else Variant.LRL_LONG
-                schedule = ControlSchedule(
-                    ((sigma, rho * alpha), (-sigma, rho * beta), (sigma, rho * gamma))
-                )
-                params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma, n=n, sigma=sigma)
-                cand = _finish(scenario, variant, params, schedule)
+                schedule = ControlSchedule(((sigma, alpha), (-sigma, beta), (sigma, gamma)))
+                params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma)
+                cand = _finish(scenario, _CCC_VARIANT[sigma, beta >= math.pi], params, schedule)
                 if cand is not None:
                     out.append(cand)
     return _dedupe(out)
@@ -393,20 +335,6 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
 
 # ---------------------------------------------------------------------------
 # CSC: arc, straight, arc.
-
-
-def _first_arc_end(sigma: int, beta: float, rho: float) -> tuple[float, float]:
-    """End of the first arc, written in terms of the straight heading beta."""
-    if sigma == -1:
-        return (rho - rho * math.sin(beta), rho * math.cos(beta))
-    return (-rho + rho * math.sin(beta), -rho * math.cos(beta))
-
-
-def _last_arc_offset(kappa: int, beta: float, th_f: float, rho: float) -> tuple[float, float]:
-    """Displacement contributed by the last arc (entry heading beta, exit th_f)."""
-    if kappa == -1:
-        return (rho * (math.sin(beta) - math.sin(th_f)), rho * (math.cos(th_f) - math.cos(beta)))
-    return (rho * (math.sin(th_f) - math.sin(beta)), rho * (math.cos(beta) - math.cos(th_f)))
 
 
 def _csc_first_arc(
@@ -428,14 +356,8 @@ def _csc_first_arc(
 
 def _csc_arc_sum(variant: Variant, beta: float, th_f: float, n: int) -> float:
     """alpha + gamma for wrap branch n (beta-free for RSR/LSL, linear otherwise)."""
-    two_n_pi = 2.0 * n * math.pi
-    if variant is Variant.RSR:
-        return HALF_PI - th_f + two_n_pi
-    if variant is Variant.LSL:
-        return th_f - HALF_PI + two_n_pi
-    if variant is Variant.RSL:
-        return HALF_PI + th_f - 2.0 * beta + two_n_pi
-    return 2.0 * beta - HALF_PI - th_f + two_n_pi  # LSR
+    sigma, kappa = variant.sigma, variant.kappa
+    return -sigma * HALF_PI + kappa * th_f + (sigma - kappa) * beta + 2.0 * n * math.pi
 
 
 def _csc_root_coeffs(scenario: Scenario, variant: Variant, n: int):
@@ -445,54 +367,25 @@ def _csc_root_coeffs(scenario: Scenario, variant: Variant, n: int):
     components leaves, for RSR/LSL (arc sum independent of beta), a plain
     sinusoid, and for RSL/LSR a sinusoid with a linear envelope.  The
     coefficients below are the fully expanded cross products; they contain no
-    divisions, so a zero wind component costs nothing.
+    divisions, so a zero wind component costs nothing.  RSR/LSL also return
+    r: where it vanishes, so does every coefficient, and the balance holds
+    for every beta.
     """
-    rho = scenario.rho
     wx, wy = scenario.wind.wx, scenario.wind.wy
-    X, Y = scenario.target
+    sigma, kappa = variant.sigma, variant.kappa
     th_f = scenario.theta_f
-    two_n_pi = 2.0 * n * math.pi
-    if variant is Variant.RSR:
-        s = HALF_PI - th_f + two_n_pi
-        rx = X - rho * s * wx - rho + rho * math.sin(th_f)
-        ry = Y - rho * s * wy - rho * math.cos(th_f)
+    s = _csc_arc_sum(variant, 0.0, th_f, n)
+    rx = scenario.target_x - s * wx + sigma - kappa * math.sin(th_f)
+    ry = scenario.target_y - s * wy + kappa * math.cos(th_f)
+    if sigma == kappa:
         return SinusoidCoeffs(rx * wy - ry * wx, rx, -ry), (rx, ry)
-    if variant is Variant.LSL:
-        s = th_f - HALF_PI + two_n_pi
-        rx = X - rho * s * wx + rho - rho * math.sin(th_f)
-        ry = Y - rho * s * wy + rho * math.cos(th_f)
-        return SinusoidCoeffs(rx * wy - ry * wx, rx, -ry), (rx, ry)
-    if variant is Variant.RSL:
-        s = HALF_PI + th_f + two_n_pi
-        u = X - rho * s * wx - rho - rho * math.sin(th_f)
-        v = Y - rho * s * wy + rho * math.cos(th_f)
-        return (
-            EnvelopeCoeffs(
-                u * wy - v * wx + 2.0 * rho,
-                u + 2.0 * rho * wy,
-                2.0 * rho * wx - v,
-                2.0 * rho * wx,
-                -2.0 * rho * wy,
-            ),
-            None,
-        )
-    c = two_n_pi - HALF_PI - th_f  # LSR
-    u = X - rho * c * wx + rho + rho * math.sin(th_f)
-    v = Y - rho * c * wy - rho * math.cos(th_f)
-    return (
-        EnvelopeCoeffs(
-            u * wy - v * wx - 2.0 * rho,
-            u - 2.0 * rho * wy,
-            -v - 2.0 * rho * wx,
-            -2.0 * rho * wx,
-            2.0 * rho * wy,
-        ),
-        None,
-    )
+    t = 2.0 * sigma
+    return EnvelopeCoeffs(rx * wy - ry * wx - t, rx - t * wy, -ry - t * wx, -t * wx, t * wy), None
 
 
 def solve_csc(scenario: Scenario) -> list[PathCandidate]:
-    """All CSC candidates across the four variants and wrap branches.
+    """All CSC candidates of a unit-radius normalized scenario, across the
+    four variants and wrap branches.
 
     Each root fixes the straight heading; the arcs follow by bookkeeping and
     the straight length from the displacement balance against the moving
@@ -501,8 +394,6 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
     and the survivors are integrated and validated.
     """
     tol = scenario.tol
-    rho = scenario.rho
-    wx, wy = scenario.wind.wx, scenario.wind.wy
     th_f = scenario.theta_f
     out = []
     for variant in (Variant.RSR, Variant.RSL, Variant.LSR, Variant.LSL):
@@ -514,19 +405,19 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
                 if arc_sum < 0.0 or arc_sum >= 2.0 * TWO_PI:
                     continue
                 rx0, ry0 = fixed
-                scale = tol.feas_tol * (1.0 + abs(rx0) + abs(ry0) + rho * (1.0 + arc_sum))
+                scale = tol.feas_tol * (1.0 + abs(rx0) + abs(ry0) + (1.0 + arc_sum))
                 if abs(rx0) <= scale and abs(ry0) <= scale:
                     # Identically satisfied balance: the straight segment
                     # vanishes and any split of the (single-direction) arc
                     # works; emit one canonical split.
-                    cand = _csc_degenerate(scenario, variant, n, arc_sum)
+                    cand = _csc_degenerate(scenario, variant, arc_sum)
                     if cand is not None:
                         out.append(cand)
                     continue
                 roots = solve_sinusoid(coeffs, tol).roots
                 window = None
             else:
-                window = _csc_branch_window(variant, th_f, n)
+                window = _csc_branch_window(variant.sigma, th_f, n)
                 if window is None:
                     continue
                 roots = solve_envelope(coeffs, tol, domain=window).roots
@@ -537,23 +428,19 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
     return _dedupe(out)
 
 
-def _csc_branch_window(variant: Variant, th_f: float, n: int) -> tuple[float, float] | None:
-    """Beta interval on which the wrap count of the two arcs equals n.
+def _csc_branch_window(sigma: int, th_f: float, n: int) -> tuple[float, float] | None:
+    """Beta interval on which the wrap count of the two arcs of RSL/LSR
+    equals n.
 
-    For RSL the count is [beta > pi/2] + [beta > theta_f]; LSR mirrors it.
-    The windows partition [0, 2*pi), so each branch equation only needs its
-    own slice (padded against boundary roots; the arc-sum filter still
-    arbitrates exactly).
+    For RSL (sigma = -1) the count is [beta > pi/2] + [beta > theta_f]; LSR
+    mirrors it.  The windows partition [0, 2*pi), so each branch equation
+    only needs its own slice (padded against boundary roots; the arc-sum
+    filter still arbitrates exactly).
     """
-    u = min(HALF_PI, th_f)
-    v = max(HALF_PI, th_f)
-    if variant is Variant.RSL:
-        spans = {0: (0.0, u), 1: (u, v), 2: (v, TWO_PI)}
-    else:
-        spans = {2: (0.0, u), 1: (u, v), 0: (v, TWO_PI)}
-    lo, hi = spans[n]
-    lo = max(0.0, lo - 1e-9)
-    hi = min(TWO_PI, hi + 1e-9)
+    edges = (0.0, min(HALF_PI, th_f), max(HALF_PI, th_f), TWO_PI)
+    k = n if sigma == -1 else 2 - n
+    lo = max(0.0, edges[k] - 1e-9)
+    hi = min(TWO_PI, edges[k + 1] + 1e-9)
     if hi <= lo:
         return None
     return (lo, hi)
@@ -567,8 +454,8 @@ def _csc_from_beta(
     window: tuple[float, float] | None,
 ) -> PathCandidate | None:
     tol = scenario.tol
-    rho = scenario.rho
     wx, wy = scenario.wind.wx, scenario.wind.wy
+    sigma, kappa = variant.sigma, variant.kappa
     th_f = scenario.theta_f
     alpha = _csc_first_arc(variant, beta, window)
     # The last arc comes from the branch's arc sum, not from mod2pi: a root on
@@ -578,44 +465,34 @@ def _csc_from_beta(
     if not -_BRANCH_TOL <= gamma <= TWO_PI + _BRANCH_TOL:
         return None  # root belongs to a different wrap branch
     gamma = max(gamma, 0.0)
-    arc_time = rho * (alpha + gamma)
-    p1x, p1y = _first_arc_end(variant.sigma, beta, rho)
-    kx, ky = _last_arc_offset(variant.kappa, beta, th_f, rho)
-    rx = scenario.target_x - arc_time * wx - p1x - kx
-    ry = scenario.target_y - arc_time * wy - p1y - ky
-    dx = math.cos(beta) + wx
-    dy = math.sin(beta) + wy
+    arc_time = alpha + gamma
+    sb, cb = math.sin(beta), math.cos(beta)
+    # Balance: goal - arc_time*w minus the first-arc end -sigma*(1 - sin b, cos b)
+    # minus the last arc's offset -kappa*(sin b - sin th_f, cos th_f - cos b).
+    rx = scenario.target_x - arc_time * wx + sigma * (1.0 - sb) + kappa * (sb - math.sin(th_f))
+    ry = scenario.target_y - arc_time * wy + sigma * cb + kappa * (math.cos(th_f) - cb)
+    dx = cb + wx
+    dy = sb + wy
     d = rx / dx if abs(dx) >= abs(dy) else ry / dy
     if d < -tol.feas_tol * (1.0 + arc_time):
         return None
     d = max(d, 0.0)
     if math.hypot(rx - d * dx, ry - d * dy) > tol.feas_tol * (1.0 + arc_time + d):
         return None
-    schedule = ControlSchedule(
-        ((variant.sigma, rho * alpha), (0, d), (variant.kappa, rho * gamma))
-    )
-    params = SegmentParams(
-        alpha=alpha, beta=beta, gamma=gamma, d=d, n=n, sigma=variant.sigma, kappa=variant.kappa
-    )
+    schedule = ControlSchedule(((sigma, alpha), (0, d), (kappa, gamma)))
+    params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma, d=d)
     return _finish(scenario, variant, params, schedule)
 
 
-def _csc_degenerate(
-    scenario: Scenario, variant: Variant, n: int, arc_sum: float
-) -> PathCandidate | None:
+def _csc_degenerate(scenario: Scenario, variant: Variant, arc_sum: float) -> PathCandidate | None:
     """Balance identically zero for an RSR/LSL branch: d = 0 is forced and the
     split of the single-direction arc is arbitrary; emit an even split."""
-    rho = scenario.rho
     alpha = gamma = 0.5 * arc_sum
     if not (0.0 <= alpha < TWO_PI):
         return None
-    beta = mod2pi(HALF_PI - alpha) if variant.sigma == -1 else mod2pi(HALF_PI + alpha)
-    schedule = ControlSchedule(
-        ((variant.sigma, rho * alpha), (0, 0.0), (variant.kappa, rho * gamma))
-    )
-    params = SegmentParams(
-        alpha=alpha, beta=beta, gamma=gamma, d=0.0, n=n, sigma=variant.sigma, kappa=variant.kappa
-    )
+    beta = mod2pi(HALF_PI + variant.sigma * alpha)
+    schedule = ControlSchedule(((variant.sigma, alpha), (0, 0.0), (variant.kappa, gamma)))
+    params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma)
     return _finish(scenario, variant, params, schedule)
 
 
@@ -649,5 +526,26 @@ def _dedupe(cands: list[PathCandidate]) -> list[PathCandidate]:
 
 
 def solve_all(scenario: Scenario) -> list[PathCandidate]:
-    """Every validated candidate from all four families, solver order fixed."""
-    return solve_sc(scenario) + solve_cc(scenario) + solve_ccc(scenario) + solve_csc(scenario)
+    """Every validated candidate from all four families of a normalized
+    scenario, solver order fixed, in the scenario's units.
+
+    The solvers see the goal in turn radii; each candidate's time, piece
+    durations, straight length and residual are multiplied back by rho.
+    """
+    rho = scenario.rho
+    if rho != 1.0:
+        x, y = scenario.target
+        scenario = replace(scenario, target_x=x / rho, target_y=y / rho, rho=1.0)
+    out = solve_sc(scenario) + solve_cc(scenario) + solve_ccc(scenario) + solve_csc(scenario)
+    if rho == 1.0:
+        return out
+    return [
+        PathCandidate(
+            c.variant,
+            replace(c.params, d=c.params.d * rho),
+            c.total_time * rho,
+            ControlSchedule(tuple((u, dur * rho) for u, dur in c.schedule.pieces)),
+            c.residual * rho,
+        )
+        for c in out
+    ]

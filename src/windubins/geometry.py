@@ -16,7 +16,7 @@ immutable once constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -77,9 +77,14 @@ class WindVector:
 class ToleranceSet:
     """Numerical tolerances used throughout the planner.
 
+    Lengths are in turn radii, so a scenario and its copy with goal and rho
+    multiplied by one factor accept the same candidates.
+
     feas_tol        slack on the measure-zero feasibility equalities of the
-                    SC/CC families (they almost never hold exactly in floats)
-    residual_tol    terminal position residual scale for accepting a candidate
+                    families (they almost never hold exactly in floats), in
+                    turn radii for lengths and in radians for headings
+    residual_tol    a candidate of total time t may miss the moving target
+                    by at most residual_tol*(rho + t); see ``accepts``
     zero_angle_eps  arc radians below this are treated as degenerate
     """
 
@@ -92,8 +97,15 @@ class ToleranceSet:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 
-    def widened(self, factor: float = 100.0) -> "ToleranceSet":
-        return replace(self, feas_tol=self.feas_tol * factor)
+    def accepts(self, total: float, residual: float, heading_error: float, rho: float) -> bool:
+        """The acceptance check of a candidate of total time ``total`` whose
+        endpoint misses the moving target by ``residual`` and the goal
+        heading by ``heading_error``, at turn radius ``rho``."""
+        return (
+            0.0 < total < math.inf
+            and residual <= self.residual_tol * (rho + total)
+            and heading_error <= self.feas_tol
+        )
 
 
 @dataclass(frozen=True)
@@ -147,12 +159,13 @@ class Scenario:
     other start to it.
 
     Every value must be finite, and the goal must lie within
-    ``MAX_GOAL_RANGE`` turn radii of the start.  The root equations'
-    coefficients grow with the square of the goal distance (the CCC constant
-    term is m^2 + n^2) and overflow near 1e154*rho; long before that, the
-    acceptance slack residual_tol*(1 + t_f), which grows with the path time,
-    reaches the size of a turn: with rho = 1 and the default residual_tol it
-    is about rho at 1e6*rho, so the check no longer resolves the turns.
+    ``MAX_GOAL_RANGE`` turn radii of the start.  The families solve for the
+    goal in turn radii, whatever rho is, so the bound is on that ratio: the
+    acceptance slack residual_tol*(rho + t_f) grows with the path time, and
+    with the default residual_tol it reaches a turn radius at a goal about
+    1e6 turn radii away, where the check no longer resolves the turns.  (The
+    root equations' coefficients grow with the square of that distance, the
+    CCC constant term being m^2 + n^2, and would overflow near 1e154.)
     """
 
     wind: WindVector

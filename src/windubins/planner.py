@@ -3,14 +3,15 @@ candidate, take the global minimum, and map results back to the caller's frame.
 
 The minimum over the four family times is the global optimum; absence of any
 feasible candidate is reported as such rather than papered over.  Ties within
-1e-12 of each other resolve deterministically by family/variant enum order.
+1e-12 turn radii of each other resolve deterministically by family/variant
+enum order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .families import Family, PathCandidate, solve_all
@@ -55,7 +56,6 @@ class PlanResult:
     per_family_times: dict[Family, float]
     denormalizing_transform: RigidTransform
     wall_time: float
-    feas_tol_widened: bool
     normalized_scenario: Scenario
 
     @property
@@ -77,12 +77,13 @@ def validate(candidate: PathCandidate, scenario: Scenario) -> ValidationReport:
     """Forward-integrate a candidate exactly and report its terminal residuals.
 
     Position is compared against the moving target at the candidate's total
-    time; the interception identity (travel time equals the target's arrival
-    time at the endpoint) is reported separately, degenerating to the position
-    residual for zero wind.
+    time, and accepted by the same check as the family solvers use.  The
+    interception identity (travel time equals the target's arrival time at the
+    endpoint) is reported separately, degenerating to the position residual
+    for zero wind; it needs no check of its own, because by the triangle
+    inequality it never exceeds the position residual.
     """
     norm, _ = normalize(scenario)
-    tol = norm.tol
     total = candidate.total_time
     end = integrate(_START, candidate.schedule, norm.rho)
     tx, ty = target_relative(norm, total)
@@ -94,31 +95,20 @@ def validate(candidate: PathCandidate, scenario: Scenario) -> ValidationReport:
         icpt_err = abs(dist - total * w)
     else:
         icpt_err = pos_err
-    feasible = (
-        pos_err <= tol.residual_tol * (1.0 + total)
-        and head_err <= tol.feas_tol
-        and icpt_err <= tol.residual_tol * (1.0 + total)
-    )
+    feasible = norm.tol.accepts(total, pos_err, head_err, norm.rho)
     return ValidationReport(pos_err, head_err, icpt_err, feasible)
 
 
-def plan(scenario: Scenario, retry_widened: bool = True) -> PlanResult:
+def plan(scenario: Scenario) -> PlanResult:
     """Compute the globally minimum-time path for a scenario.
 
     Invalid inputs (wind at or above vehicle speed, non-positive radius) raise
-    ValueError at Scenario construction.  If no family yields a candidate, the
-    feasibility slack is widened once (x100) and the solve retried; the result
-    records whether that happened.
+    ValueError at Scenario construction.
     """
     t0 = time.perf_counter()
     norm, transform = normalize(scenario)
     candidates = solve_all(norm)
-    widened = False
-    if not candidates and retry_widened:
-        widened = True
-        norm = replace(norm, tol=norm.tol.widened())
-        candidates = solve_all(norm)
-
+    tie = _TIE_EPS * norm.rho
     ordered = tuple(
         sorted(candidates, key=lambda c: (c.total_time, c.variant.order))
     )
@@ -126,13 +116,13 @@ def plan(scenario: Scenario, retry_widened: bool = True) -> PlanResult:
     for cand in ordered:
         if best is None:
             best = cand
-        elif cand.total_time < best.total_time - _TIE_EPS:
+        elif cand.total_time < best.total_time - tie:
             best = cand
-        elif abs(cand.total_time - best.total_time) <= _TIE_EPS and cand.variant.order < best.variant.order:
+        elif abs(cand.total_time - best.total_time) <= tie and cand.variant.order < best.variant.order:
             best = cand
     per_family = {family: math.inf for family in Family}
     for cand in ordered:
-        fam = cand.tag.family
+        fam = cand.variant.family
         per_family[fam] = min(per_family[fam], cand.total_time)
 
     return PlanResult(
@@ -142,7 +132,6 @@ def plan(scenario: Scenario, retry_widened: bool = True) -> PlanResult:
         per_family_times=per_family,
         denormalizing_transform=transform,
         wall_time=time.perf_counter() - t0,
-        feas_tol_widened=widened,
         normalized_scenario=norm,
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
+from windubins.geometry import (
     HALF_PI,
     TWO_PI,
     ControlSchedule,
@@ -31,7 +31,7 @@ from .geometry import (
 ORACLE_TIME_BOUND = 0.02
 
 
-def _rk4_piece_py(x, y, th, u, dur, rho, step):
+def _rk4_piece(x, y, th, u, dur, rho, step):
     n = int(math.ceil(dur / step))
     if n < 1:
         n = 1
@@ -53,14 +53,6 @@ def _rk4_piece_py(x, y, th, u, dur, rho, step):
         y += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         th += h * k
     return x, y, th
-
-
-try:  # pragma: no cover - exercised implicitly wherever numba is installed
-    from numba import njit
-
-    _rk4_piece = njit(cache=False)(_rk4_piece_py)
-except ImportError:  # pragma: no cover
-    _rk4_piece = _rk4_piece_py
 
 
 def rk4_integrate(

@@ -31,7 +31,6 @@ from windubins import (
 )
 from windubins.families import _ccc_coeffs
 from windubins.geometry import TWO_PI, ang_dist
-from windubins.oracle import ORACLE_TIME_BOUND, brute_force, classical_dubins
 
 from conftest import (
     CASE1_TIMES,
@@ -44,6 +43,7 @@ from conftest import (
     random_scenario,
 )
 from grid_oracle import dense_grid_roots, envelope_fn, match_root_sets, quadcos_fn
+from oracle import ORACLE_TIME_BOUND, brute_force, classical_dubins
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -204,6 +204,15 @@ def test_batch_out_of_domain_line(tmp_path, capsys, line):
     assert err.startswith("error: argument FILE: line 1: ") and err.count("\n") == 1
 
 
+def test_batch_huge_turn_radius(tmp_path, capsys):
+    path = tmp_path / "scenarios.txt"
+    path.write_text("0.1 0.2 0.5 1 10 1e200\n")
+    status, out, err = run_cli(capsys, "batch", str(path))
+    assert status == 0
+    assert err == ""
+    assert "best=" in out
+
+
 def test_plan_error_names_the_bad_field(capsys):
     status, _, err = run_cli(
         capsys, "plan", "--wind", "0,0", "--target", "nan,1",

@@ -17,11 +17,11 @@ from windubins import (
     solve_sc,
     target_relative,
 )
-from windubins.families import FamilyTag, Family, _ccc_coeffs, _csc_root_coeffs
+from windubins.families import MIRROR_VARIANT, Family, _ccc_coeffs, _csc_root_coeffs
 from windubins.geometry import HALF_PI, TWO_PI, ang_dist
-from windubins.oracle import GridSpec, brute_force
 
 from conftest import CASE1_TIMES, CASE2_LSL_TIME, make_case1, make_case2, random_scenario
+from oracle import GridSpec, brute_force
 
 START = RelativeState(0.0, 0.0, HALF_PI)
 
@@ -30,10 +30,15 @@ def by_variant(cands, label):
     return [c for c in cands if c.variant.label == label]
 
 
-def test_family_tag_consistency():
-    with pytest.raises(ValueError):
-        FamilyTag(Family.SC, Variant.LSL)
-    assert FamilyTag.of(Variant.RL2PI).family is Family.CC
+def test_mirror_variant_swaps_turns():
+    # MIRROR_VARIANT is derived from the labels; it must still pair each
+    # variant with its L/R reflection in the same family.
+    for order, v in enumerate(Variant):
+        m = MIRROR_VARIANT[v]
+        assert MIRROR_VARIANT[m] is v
+        assert m.family is v.family
+        assert (m.sigma, m.kappa) == (-v.sigma, -v.kappa)
+        assert v.order == order
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +79,7 @@ def test_sc_zero_wind_degenerate_emitted_but_dominated():
 
     result = plan(sc)
     assert result.t_f == pytest.approx(5.0, abs=1e-9)
-    assert result.best.tag.family is Family.CSC
+    assert result.best.variant.family is Family.CSC
 
 
 def test_sc_rejects_off_track_target():

@@ -15,9 +15,9 @@ from windubins import (
     to_inertial,
 )
 from windubins.geometry import HALF_PI, TWO_PI, mod2pi, ang_dist
-from windubins.oracle import rk4_integrate
 
 from conftest import make_case1_rounded
+from oracle import rk4_integrate
 
 START = RelativeState(0.0, 0.0, HALF_PI)
 

@@ -5,7 +5,8 @@ import pytest
 
 from windubins import ControlSchedule, RelativeState, Scenario, WindVector, integrate, plan
 from windubins.geometry import HALF_PI, TWO_PI, ang_dist
-from windubins.oracle import (
+
+from oracle import (
     GridSpec,
     ORACLE_TIME_BOUND,
     brute_force,

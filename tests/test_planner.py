@@ -17,9 +17,7 @@ from windubins import (
     sample,
     validate,
 )
-from windubins.families import FamilyTag
 from windubins.geometry import HALF_PI, TWO_PI
-from windubins.oracle import ORACLE_TIME_BOUND, brute_force
 
 from conftest import (
     CASE1_TIMES,
@@ -29,6 +27,7 @@ from conftest import (
     mirrored,
     random_scenario,
 )
+from oracle import ORACLE_TIME_BOUND, brute_force
 
 
 def min_time_by_label(result, label):
@@ -46,7 +45,6 @@ def test_plan_case1(case1):
         assert min_time_by_label(result, label) == pytest.approx(t_ref, abs=1e-3)
     assert result.per_family_times[Family.CSC] == result.t_f
     assert result.per_family_times[Family.SC] == math.inf
-    assert not result.feas_tol_widened
 
 
 def test_plan_case1_rounded_wind_structure(case1_rounded):
@@ -71,7 +69,7 @@ def test_plan_unobstructed_straight_line():
                   theta_f=HALF_PI, rho=1.0)
     result = plan(sc)
     assert result.t_f == pytest.approx(10.0, abs=1e-9)
-    assert result.best.tag.family is Family.CSC
+    assert result.best.variant.family is Family.CSC
 
 
 def test_plan_candidates_sorted_and_deterministic(case1):
@@ -85,15 +83,13 @@ def test_plan_candidates_sorted_and_deterministic(case1):
 
 def test_plan_reports_infeasible_with_widening():
     # An absurdly tight residual tolerance rejects every candidate; the
-    # planner widens the feasibility slack once, reports it, and comes back
-    # empty-handed instead of fabricating a result.
+    # planner comes back empty-handed instead of fabricating a result.
     sc = Scenario(wind=WindVector(0.3, 0.1), target_x=4.0, target_y=2.0,
                   theta_f=1.0, rho=1.0, tol=ToleranceSet(residual_tol=1e-30))
     result = plan(sc)
     assert not result.feasible
     assert result.best is None
     assert result.t_f == math.inf
-    assert result.feas_tol_widened
     assert all(t == math.inf for t in result.per_family_times.values())
 
 
@@ -112,7 +108,7 @@ def test_validate_flags_corrupted_straight_leg(case1):
     pieces = list(best.schedule.pieces)
     pieces[1] = (pieces[1][0], pieces[1][1] + 0.1)
     corrupted = PathCandidate(
-        tag=best.tag,
+        variant=best.variant,
         params=best.params,
         total_time=best.total_time + 0.1,
         schedule=ControlSchedule(tuple(pieces)),
@@ -129,7 +125,7 @@ def test_validate_zero_schedule():
     sc = Scenario(wind=WindVector(0.2, 0.0), target_x=3.0, target_y=4.0,
                   theta_f=HALF_PI, rho=1.0)
     cand = PathCandidate(
-        tag=FamilyTag.of(Variant.RSR),
+        variant=Variant.RSR,
         params=SegmentParams(),
         total_time=0.0,
         schedule=ControlSchedule(((0, 0.0),)),
@@ -232,7 +228,7 @@ def test_mirror_equivariance():
 
 def test_scale_covariance():
     rng = random.Random(93)
-    for k in (0.25, 3.0, 17.0):
+    for k in (0.25, 3.0, 17.0, 1e-200, 1e-6, 1e200):
         sc = random_scenario(rng)
         scaled = Scenario(
             wind=sc.wind,
@@ -248,6 +244,28 @@ def test_scale_covariance():
         assert len(times) == len(stimes)
         for t, ts in zip(times, stimes):
             assert ts == pytest.approx(t * k, rel=1e-9)
+        assert sres.best.variant is res.best.variant
+
+
+def test_tolerances_in_turn_radii():
+    # With tolerances taken as absolute lengths, 1e-3 of slack is a tenth of
+    # a turn radius at rho = 0.01, and an LSL at 0.12*rho that does not reach
+    # the goal passed as the optimum.
+    rng = random.Random(11)
+    for _ in range(28):
+        sc = random_scenario(rng, w_max=0.9, span=10)
+    rho = 0.01
+    small = Scenario(
+        wind=sc.wind,
+        target_x=sc.target_x * rho,
+        target_y=sc.target_y * rho,
+        theta_f=sc.theta_f,
+        rho=rho,
+        tol=ToleranceSet(feas_tol=1e-3, residual_tol=1e-3),
+    )
+    result = plan(small)
+    assert result.best.variant is Variant.RSR
+    assert result.t_f / rho == pytest.approx(8.400357, abs=1e-6)
 
 
 def test_plan_never_beats_brute_force():
