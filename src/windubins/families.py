@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from .geometry import (
     HALF_PI,
@@ -121,8 +122,7 @@ _CCC_VARIANT = {  # (sigma, middle arc beyond pi)
 }
 
 
-@dataclass(frozen=True)
-class SegmentParams:
+class SegmentParams(NamedTuple):
     """Segment parameters of one candidate; fields unused by the variant are 0.
 
     alpha, beta, gamma are arc radians in [0, 2*pi) (beta doubles as the
@@ -136,8 +136,7 @@ class SegmentParams:
     d: float = 0.0
 
 
-@dataclass(frozen=True)
-class PathCandidate:
+class PathCandidate(NamedTuple):
     variant: Variant
     params: SegmentParams
     total_time: float
@@ -270,20 +269,23 @@ def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
 # CCC: three alternating arcs.
 
 
-def _ccc_coeffs(scenario: Scenario, sigma: int, n: int) -> tuple[QuadCosCoeffs, float, float, float]:
+def _ccc_coeffs(
+    scenario: Scenario, sigma: int, n: int, trig: tuple[float, float] | None = None
+) -> tuple[QuadCosCoeffs, float, float, float]:
     """Quadratic-plus-cosine coefficients for one orientation and wrap branch.
 
     base = alpha + gamma - beta, fixed by the heading identity for branch n;
     the target identity then pins the endpoint as a linear function of beta,
     and the tangency of the first/last circles with the middle one squares
-    into G(beta) = c1*b^2 + c2*b + c3*cos b + c4.
+    into G(beta) = c1*b^2 + c2*b + c3*cos b + c4.  ``trig``: (sin, cos) of theta_f.
     """
     wx, wy = scenario.wind.wx, scenario.wind.wy
     X, Y = scenario.target
     th_f = scenario.theta_f
+    sin_f, cos_f = trig or (math.sin(th_f), math.cos(th_f))
     base = sigma * (th_f - HALF_PI - 2.0 * n * math.pi)
-    m = sigma * (X - wx * base) - math.sin(th_f) + 1.0
-    nn = Y - wy * base + sigma * math.cos(th_f)
+    m = sigma * (X - wx * base) - sin_f + 1.0
+    nn = Y - wy * base + sigma * cos_f
     c2 = -4.0 * (sigma * m * wx + nn * wy)
     return QuadCosCoeffs(4.0 * (wx * wx + wy * wy), c2, 8.0, m * m + nn * nn - 8.0), base, m, nn
 
@@ -301,11 +303,12 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
     """
     tol = scenario.tol
     wx, wy = scenario.wind.wx, scenario.wind.wy
+    trig = (math.sin(scenario.theta_f), math.cos(scenario.theta_f))
     out = []
     for sigma in (-1, 1):
         head = sigma * (scenario.theta_f - HALF_PI)
         for n in _CCC_BRANCHES:
-            coeffs, base, m, nn = _ccc_coeffs(scenario, sigma, n)
+            coeffs, base, m, nn = _ccc_coeffs(scenario, sigma, n, trig)
             # Branch window: total time positive and alpha + gamma in [0, 4*pi)
             # bound beta to a subinterval (padded against boundary roots).
             lo = max(0.0, -base, -0.5 * base) - 1e-9
@@ -360,7 +363,7 @@ def _csc_arc_sum(variant: Variant, beta: float, th_f: float, n: int) -> float:
     return -sigma * HALF_PI + kappa * th_f + (sigma - kappa) * beta + 2.0 * n * math.pi
 
 
-def _csc_root_coeffs(scenario: Scenario, variant: Variant, n: int):
+def _csc_root_coeffs(scenario: Scenario, variant: Variant, n: int, trig=None):
     """Root-equation coefficients for one CSC variant and wrap branch.
 
     Eliminating the straight length d from the two displacement-balance
@@ -369,14 +372,15 @@ def _csc_root_coeffs(scenario: Scenario, variant: Variant, n: int):
     coefficients below are the fully expanded cross products; they contain no
     divisions, so a zero wind component costs nothing.  RSR/LSL also return
     r: where it vanishes, so does every coefficient, and the balance holds
-    for every beta.
+    for every beta.  ``trig``: (sin, cos) of theta_f.
     """
     wx, wy = scenario.wind.wx, scenario.wind.wy
     sigma, kappa = variant.sigma, variant.kappa
     th_f = scenario.theta_f
+    sin_f, cos_f = trig or (math.sin(th_f), math.cos(th_f))
     s = _csc_arc_sum(variant, 0.0, th_f, n)
-    rx = scenario.target_x - s * wx + sigma - kappa * math.sin(th_f)
-    ry = scenario.target_y - s * wy + kappa * math.cos(th_f)
+    rx = scenario.target_x - s * wx + sigma - kappa * sin_f
+    ry = scenario.target_y - s * wy + kappa * cos_f
     if sigma == kappa:
         return SinusoidCoeffs(rx * wy - ry * wx, rx, -ry), (rx, ry)
     t = 2.0 * sigma
@@ -395,16 +399,16 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
     """
     tol = scenario.tol
     th_f = scenario.theta_f
+    trig = (math.sin(th_f), math.cos(th_f))
     out = []
     for variant in (Variant.RSR, Variant.RSL, Variant.LSR, Variant.LSL):
         for n in _CSC_BRANCHES:
-            coeffs, fixed = _csc_root_coeffs(scenario, variant, n)
-            if fixed is not None:
+            if variant.sigma == variant.kappa:
                 # Arc sum is beta-free; prune branches outside [0, 4*pi).
                 arc_sum = _csc_arc_sum(variant, 0.0, th_f, n)
                 if arc_sum < 0.0 or arc_sum >= 2.0 * TWO_PI:
                     continue
-                rx0, ry0 = fixed
+                coeffs, (rx0, ry0) = _csc_root_coeffs(scenario, variant, n, trig)
                 scale = tol.feas_tol * (1.0 + abs(rx0) + abs(ry0) + (1.0 + arc_sum))
                 if abs(rx0) <= scale and abs(ry0) <= scale:
                     # Identically satisfied balance: the straight segment
@@ -420,9 +424,10 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
                 window = _csc_branch_window(variant.sigma, th_f, n)
                 if window is None:
                     continue
+                coeffs, _ = _csc_root_coeffs(scenario, variant, n, trig)
                 roots = solve_envelope(coeffs, tol, domain=window).roots
             for beta in roots:
-                cand = _csc_from_beta(scenario, variant, n, beta, window)
+                cand = _csc_from_beta(scenario, variant, n, beta, window, trig)
                 if cand is not None:
                     out.append(cand)
     return _dedupe(out)
@@ -452,6 +457,7 @@ def _csc_from_beta(
     n: int,
     beta: float,
     window: tuple[float, float] | None,
+    trig: tuple[float, float],
 ) -> PathCandidate | None:
     tol = scenario.tol
     wx, wy = scenario.wind.wx, scenario.wind.wy
@@ -469,8 +475,8 @@ def _csc_from_beta(
     sb, cb = math.sin(beta), math.cos(beta)
     # Balance: goal - arc_time*w minus the first-arc end -sigma*(1 - sin b, cos b)
     # minus the last arc's offset -kappa*(sin b - sin th_f, cos th_f - cos b).
-    rx = scenario.target_x - arc_time * wx + sigma * (1.0 - sb) + kappa * (sb - math.sin(th_f))
-    ry = scenario.target_y - arc_time * wy + sigma * cb + kappa * (math.cos(th_f) - cb)
+    rx = scenario.target_x - arc_time * wx + sigma * (1.0 - sb) + kappa * (sb - trig[0])
+    ry = scenario.target_y - arc_time * wy + sigma * cb + kappa * (trig[1] - cb)
     dx = cb + wx
     dy = sb + wy
     d = rx / dx if abs(dx) >= abs(dy) else ry / dy
@@ -505,22 +511,14 @@ def _dedupe(cands: list[PathCandidate]) -> list[PathCandidate]:
     Deterministic because solver order is."""
     out: list[PathCandidate] = []
     for cand in cands:
-        dup = False
         for i, kept in enumerate(out):
-            if kept.variant is not cand.variant:
-                continue
-            p, q = kept.params, cand.params
-            if (
-                abs(p.alpha - q.alpha) <= _DEDUPE_EPS
-                and abs(p.beta - q.beta) <= _DEDUPE_EPS
-                and abs(p.gamma - q.gamma) <= _DEDUPE_EPS
-                and abs(p.d - q.d) <= _DEDUPE_EPS
+            if kept.variant is cand.variant and all(
+                abs(p - q) <= _DEDUPE_EPS for p, q in zip(kept.params, cand.params)
             ):
                 if cand.residual < kept.residual:
                     out[i] = cand
-                dup = True
                 break
-        if not dup:
+        else:
             out.append(cand)
     return out
 
@@ -530,7 +528,10 @@ def solve_all(scenario: Scenario) -> list[PathCandidate]:
     scenario, solver order fixed, in the scenario's units.
 
     The solvers see the goal in turn radii; each candidate's time, piece
-    durations, straight length and residual are multiplied back by rho.
+    durations, straight length and residual are multiplied back by rho.  A
+    candidate whose time overflows there (rho near the largest float) is
+    dropped, since no schedule of finite pieces carries it; the pieces and
+    length of the others, never above their time, stay finite.
     """
     rho = scenario.rho
     if rho != 1.0:
@@ -542,10 +543,11 @@ def solve_all(scenario: Scenario) -> list[PathCandidate]:
     return [
         PathCandidate(
             c.variant,
-            replace(c.params, d=c.params.d * rho),
+            c.params._replace(d=c.params.d * rho),
             c.total_time * rho,
             ControlSchedule(tuple((u, dur * rho) for u, dur in c.schedule.pieces)),
             c.residual * rho,
         )
         for c in out
+        if math.isfinite(c.total_time * rho)
     ]

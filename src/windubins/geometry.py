@@ -69,9 +69,6 @@ class WindVector:
     def speed(self) -> float:
         return math.hypot(self.wx, self.wy)
 
-    def is_zero(self) -> bool:
-        return self.speed() < ZERO_WIND_EPS
-
 
 @dataclass(frozen=True)
 class ToleranceSet:
@@ -235,10 +232,6 @@ class RigidTransform:
     def vec_to_local(self, x: float, y: float) -> tuple[float, float]:
         c, s = math.cos(self.angle), math.sin(self.angle)
         return (c * x - s * y, s * x + c * y)
-
-    def vec_to_world(self, x: float, y: float) -> tuple[float, float]:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return (c * x + s * y, -s * x + c * y)
 
     def angle_to_local(self, theta: float) -> float:
         return mod2pi(theta + self.angle)

@@ -56,7 +56,6 @@ class PlanResult:
     per_family_times: dict[Family, float]
     denormalizing_transform: RigidTransform
     wall_time: float
-    normalized_scenario: Scenario
 
     @property
     def feasible(self) -> bool:
@@ -132,7 +131,6 @@ def plan(scenario: Scenario) -> PlanResult:
         per_family_times=per_family,
         denormalizing_transform=transform,
         wall_time=time.perf_counter() - t0,
-        normalized_scenario=norm,
     )
 
 

@@ -22,92 +22,125 @@ each of those pieces holds at most one sign change (``_monotone_roots``).
   monotone piece of h, and at the point where P = Q = 0, which exists only
   when K = 0 (phi jumps by pi there).
 
+Before any of that, both shapes check an O(1) no-root certificate: a bound
+showing |G| > graze (the feasibility slack) on the whole domain, so there is
+no sign change, exact zero or grazing stationary point.  The bound carries
+``_ROUNDING``*scale more, far above the rounding of G, so it fires only
+where the full isolation returns no root either.
+
+* quadcos: |c3*cos(b)| <= |c3|, and q(b) = c1*b^2 + c2*b + c4 takes its
+  extremes on [lo, hi] at the ends or at the vertex -c2/(2*c1).  No root if
+  q stays above |c3| + graze, or below -(|c3| + graze).
+* envelope: |(f2 + b*f4)*sin(b) + (f3 + b*f5)*cos(b)| <= hypot(f2 + b*f4,
+  f3 + b*f5), a norm of an affine function of b, so convex and largest at
+  an end of [lo, hi].  No root if |f1| exceeds that plus graze.
+
 Every bracketed solve is a safeguarded Newton iteration polished to machine
-precision; brackets certify enclosure.  Stationary points where |G| stays
-within the feasibility slack are reported separately as tangential roots.
+precision.  Stationary points where |G| stays within the feasibility slack
+are reported separately as tangential roots.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .geometry import TWO_PI, ToleranceSet, mod2pi
 
 _MERGE_EPS = 1e-11
+#: merge window of a tangential detection (see ``_root_set``)
+_TANGENT_MERGE = 1e-6
+#: bound on the rounding of one evaluation of G, relative to its scale
+_ROUNDING = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadCosCoeffs:
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-
-    def __post_init__(self) -> None:
-        _check_finite((self.c1, self.c2, self.c3, self.c4))
-
-    @property
-    def scale(self) -> float:
-        return 1.0 + abs(self.c1) + abs(self.c2) + abs(self.c3) + abs(self.c4)
+def _finite(cls, values: tuple[float, ...]):
+    """A coefficient record of ``values``, which must all be finite."""
+    if not math.isfinite(sum(values)):  # a sum of finite values can overflow
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"coefficients must be finite, got {v}")
+    return tuple.__new__(cls, values)
 
 
-@dataclass(frozen=True)
-class SinusoidCoeffs:
-    e1: float
-    e2: float
-    e3: float
-
-    def __post_init__(self) -> None:
-        _check_finite((self.e1, self.e2, self.e3))
+class _Coeffs:
+    """The ``scale`` of the coefficient records: 1 + the sum of |coefficient|."""
+    __slots__ = ()
+    # namedtuple's own _make, and _replace through it, would skip the check
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def scale(self) -> float:
-        return 1.0 + abs(self.e1) + abs(self.e2) + abs(self.e3)
+        total = 1.0
+        for v in self:
+            total += abs(v)
+        return total
 
 
-@dataclass(frozen=True)
-class EnvelopeCoeffs:
-    f1: float
-    f2: float
-    f3: float
-    f4: float
-    f5: float
+class QuadCosCoeffs(_Coeffs, namedtuple("QuadCosCoeffs", "c1 c2 c3 c4")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_finite((self.f1, self.f2, self.f3, self.f4, self.f5))
-
-    @property
-    def scale(self) -> float:
-        return 1.0 + abs(self.f1) + abs(self.f2) + abs(self.f3) + abs(self.f4) + abs(self.f5)
+    def __new__(cls, c1: float, c2: float, c3: float, c4: float):
+        return _finite(cls, (c1, c2, c3, c4))
 
 
-@dataclass(frozen=True)
+class SinusoidCoeffs(_Coeffs, namedtuple("SinusoidCoeffs", "e1 e2 e3")):
+    __slots__ = ()
+
+    def __new__(cls, e1: float, e2: float, e3: float):
+        return _finite(cls, (e1, e2, e3))
+
+
+class EnvelopeCoeffs(_Coeffs, namedtuple("EnvelopeCoeffs", "f1 f2 f3 f4 f5")):
+    __slots__ = ()
+
+    def __new__(cls, f1: float, f2: float, f3: float, f4: float, f5: float):
+        return _finite(cls, (f1, f2, f3, f4, f5))
+
+
+@dataclass(frozen=True, slots=True)
 class RootSet:
-    """Isolated roots on [0, 2*pi), sorted ascending, with enclosing brackets
-    and residuals.  ``tangential[i]`` marks roots detected by the
-    minimum-magnitude test rather than a sign change (grazing contact)."""
+    """Isolated roots on [0, 2*pi), sorted ascending; ``tangential[i]`` marks a
+    grazing root, found where |G| is small rather than by a sign change."""
 
     roots: tuple[float, ...]
-    brackets: tuple[tuple[float, float], ...]
-    residuals: tuple[float, ...]
     tangential: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
 
     @property
     def simple_roots(self) -> tuple[float, ...]:
         return tuple(r for r, t in zip(self.roots, self.tangential) if not t)
 
 
-def _check_finite(values) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"coefficients must be finite, got {v}")
+_EMPTY = RootSet((), ())
+
+
+def _root_set(found: list[tuple[float, bool]]) -> RootSet:
+    """The root set of (root, tangential) detections in detection order,
+    dropping those outside [0, 2*pi).  Sign-change roots merge within a
+    machine-scale window.  A tangential detection merges over a wider window
+    and yields to a nearby sign-change root: both see the same near-double
+    contact, which is reported once."""
+    kept: list[tuple[float, bool]] = []
+    for root, tangential in found:
+        if not 0.0 <= root < TWO_PI:
+            continue
+        for i, (r, was_tangential) in enumerate(kept):
+            window = _TANGENT_MERGE if (tangential or was_tangential) else _MERGE_EPS
+            if abs(r - root) <= window:
+                if was_tangential and not tangential:
+                    kept[i] = (root, False)
+                break
+        else:
+            kept.append((root, tangential))
+    if not kept:
+        return _EMPTY
+    kept.sort()
+    roots, tangential = zip(*kept)
+    return RootSet(roots, tangential)
 
 
 def _zero_is_grazing(g, x: float, lo: float, hi: float) -> bool:
@@ -123,20 +156,20 @@ def _zero_is_grazing(g, x: float, lo: float, hi: float) -> bool:
     return (left < 0.0) == (right < 0.0)
 
 
-def _refine(fused, lo: float, hi: float, flo: float) -> tuple[float, float, float]:
+def _refine(fused, lo: float, hi: float, flo: float) -> float:
     """Safeguarded Newton inside a sign-change bracket.
 
     ``fused(x)`` returns (value, derivative).  Newton steps that leave the
     current bracket fall back to bisection, so convergence is guaranteed; the
-    returned bracket encloses the root at machine width, and the root is the
-    bracket end where |value| is smaller."""
+    bracket closes around the root at machine width, and the root returned is
+    the bracket end where |value| is smaller."""
     x = 0.5 * (lo + hi)
     neg = flo < 0.0
     alo, ahi = abs(flo), math.inf
     for _ in range(120):
         fx, dx = fused(x)
         if fx == 0.0:
-            return x, x, x
+            return x
         if neg != (fx < 0.0):
             hi, ahi = x, abs(fx)
         else:
@@ -155,43 +188,7 @@ def _refine(fused, lo: float, hi: float, flo: float) -> tuple[float, float, floa
                 x = xn
                 continue
         x = 0.5 * (lo + hi)
-    return (lo if alo <= ahi else hi), lo, hi
-
-
-class _Collector:
-    """Accumulates roots while deduplicating near-coincident detections.
-
-    Sign-change roots merge within a machine-scale window.  A tangential
-    detection (a stationary point where |G| is within the feasibility slack)
-    merges over a wider window and yields to a nearby sign-change root: both
-    see the same near-double contact, which is reported once.
-    """
-
-    _TANGENT_MERGE = 1e-6
-
-    def __init__(self, f) -> None:
-        self._f = f
-        self.items: list[tuple[float, float, float, float, bool]] = []
-
-    def add(self, root: float, lo: float, hi: float, tangential: bool) -> None:
-        if not (0.0 <= root < TWO_PI):
-            return
-        for i, (r, _lo, _hi, _res, was_tangential) in enumerate(self.items):
-            window = self._TANGENT_MERGE if (tangential or was_tangential) else _MERGE_EPS
-            if abs(r - root) <= window:
-                if was_tangential and not tangential:
-                    self.items[i] = (root, lo, hi, abs(self._f(root)), False)
-                return
-        self.items.append((root, lo, hi, abs(self._f(root)), tangential))
-
-    def build(self) -> RootSet:
-        self.items.sort(key=lambda it: it[0])
-        return RootSet(
-            roots=tuple(it[0] for it in self.items),
-            brackets=tuple((it[1], it[2]) for it in self.items),
-            residuals=tuple(it[3] for it in self.items),
-            tangential=tuple(it[4] for it in self.items),
-        )
+    return lo if alo <= ahi else hi
 
 
 def _monotone_roots(g, g_fused, lo: float, hi: float, stationary, graze: float) -> RootSet:
@@ -202,20 +199,35 @@ def _monotone_roots(g, g_fused, lo: float, hi: float, stationary, graze: float) 
     A knot where G is exactly zero counts once; a stationary point where |G|
     is within ``graze`` is a tangential (grazing) root.
     """
-    collector = _Collector(g)
     pts = sorted({lo, hi, *stationary})
     gvals = [g(p) for p in pts]
+    found = []
     for i in range(len(pts) - 1):
         fa, fb = gvals[i], gvals[i + 1]
         if fa == 0.0:
-            collector.add(pts[i], pts[i], pts[i], _zero_is_grazing(g, pts[i], lo, hi))
+            found.append((pts[i], _zero_is_grazing(g, pts[i], lo, hi)))
         elif fa * fb < 0.0:
-            r, rlo, rhi = _refine(g_fused, pts[i], pts[i + 1], fa)
-            collector.add(r, rlo, rhi, False)
+            found.append((_refine(g_fused, pts[i], pts[i + 1], fa), False))
     for p, gv in zip(pts, gvals):
         if p in stationary and abs(gv) <= graze:
-            collector.add(p, p, p, True)
-    return collector.build()
+            found.append((p, True))
+    return _root_set(found)
+
+
+def _quadcos_rootless(coeffs: QuadCosCoeffs, lo: float, hi: float, slack: float) -> bool:
+    """The no-root certificate of the module docstring; slack = graze + rounding."""
+    c1, c2, c3, c4 = coeffs
+    v = min(max(-c2 / (2.0 * c1), lo), hi) if c1 != 0.0 else lo  # vertex, clamped
+    extremes = ((c1 * lo + c2) * lo + c4, (c1 * hi + c2) * hi + c4, (c1 * v + c2) * v + c4)
+    reach = abs(c3) + slack
+    return min(extremes) > reach or max(extremes) < -reach
+
+
+def _envelope_rootless(coeffs: EnvelopeCoeffs, lo: float, hi: float, slack: float) -> bool:
+    """The no-root certificate of the module docstring; slack = graze + rounding."""
+    f1, f2, f3, f4, f5 = coeffs
+    reach = max(math.hypot(f2 + lo * f4, f3 + lo * f5), math.hypot(f2 + hi * f4, f3 + hi * f5))
+    return abs(f1) > reach + slack
 
 
 def solve_quadcos(
@@ -226,31 +238,35 @@ def solve_quadcos(
     """All real roots of c1*b^2 + c2*b + c3*cos(b) + c4 on [0, 2*pi), or on a
     half-open subinterval of it when ``domain`` narrows the search.
 
-    Subdivision order: the at-most-two closed-form roots of G'' split the
-    domain into pieces where G' is monotone; bracketed solves give every root
-    of G' (at most three); those stationary points in turn split the domain
-    into at most four pieces where G itself is monotone.
+    No-root certificate first: |G| >= |q| - |c3| with q = c1*b^2 + c2*b + c4,
+    whose extremes on [lo, hi] lie at the ends or the vertex; if q clears
+    |c3| + graze (plus rounding) with one sign, G has no root there.
+
+    Otherwise, subdivision order: the at-most-two closed-form roots of G''
+    split the domain into pieces where G' is monotone; bracketed solves give
+    every root of G' (at most three); those stationary points in turn split
+    the domain into at most four pieces where G itself is monotone.
     """
     tol = tol or _DEFAULT_TOL
     lo, hi = domain if domain is not None else (0.0, TWO_PI)
-    c1, c2, c3, c4 = coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4
-    cos, sin = math.cos, math.sin
+    if not hi > lo:
+        return _EMPTY
+    scale = coeffs.scale
+    graze = tol.feas_tol * scale
+    if _quadcos_rootless(coeffs, lo, hi, graze + _ROUNDING * scale):
+        return _EMPTY
+    c1, c2, c3, c4 = coeffs
     two_c1 = 2.0 * c1
+    cos, sin = math.cos, math.sin
 
     def g(b: float) -> float:
         return (c1 * b + c2) * b + c3 * cos(b) + c4
-
-    def gp(b: float) -> float:
-        return two_c1 * b + c2 - c3 * sin(b)
 
     def g_fused(b: float) -> tuple[float, float]:
         return (c1 * b + c2) * b + c3 * cos(b) + c4, two_c1 * b + c2 - c3 * sin(b)
 
     def gp_fused(b: float) -> tuple[float, float]:
         return two_c1 * b + c2 - c3 * sin(b), two_c1 - c3 * cos(b)
-
-    if not hi > lo:
-        return _Collector(g).build()
 
     # Roots of G'' in closed form.
     inflections: list[float] = []
@@ -265,27 +281,22 @@ def solve_quadcos(
                 inflections.append(b2)
     elif c1 == 0.0:
         # G' constant: G is linear; handle directly.
-        collector = _Collector(g)
-        if c2 != 0.0:
-            r = -c4 / c2
-            if lo <= r < hi:
-                collector.add(r, r, r, False)
-        return collector.build()
+        r = -c4 / c2 if c2 != 0.0 else math.nan
+        return _root_set([(r, False)] if lo <= r < hi else [])
 
     knots = sorted({lo, hi, *inflections})
 
     # Roots of G' on the monotone pieces.
     stationary: list[float] = []
-    vals = [gp(k) for k in knots]
+    vals = [gp_fused(k)[0] for k in knots]
     for i in range(len(knots) - 1):
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
             stationary.append(knots[i])
         elif fa * fb < 0.0:
-            r, _, _ = _refine(gp_fused, knots[i], knots[i + 1], fa)
-            stationary.append(r)
+            stationary.append(_refine(gp_fused, knots[i], knots[i + 1], fa))
 
-    return _monotone_roots(g, g_fused, lo, hi, stationary, tol.feas_tol * coeffs.scale)
+    return _monotone_roots(g, g_fused, lo, hi, stationary, graze)
 
 
 def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet | None = None) -> RootSet:
@@ -293,34 +304,23 @@ def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet | None = None) -> R
 
     Writes the oscillating part as R*sin(b + phi) with R = hypot(e2, e3):
     no roots when |e1| > R, a single grazing root at |e1| = R (within the
-    feasibility slack), and two arcsine branches otherwise.  Brackets are
-    degenerate because the roots are exact.
+    feasibility slack), and two arcsine branches otherwise.
     """
     tol = tol or _DEFAULT_TOL
-    e1, e2, e3 = coeffs.e1, coeffs.e2, coeffs.e3
-
-    def g(b: float) -> float:
-        return e1 + e2 * math.sin(b) + e3 * math.cos(b)
-
-    collector = _Collector(g)
+    e1, e2, e3 = coeffs
     amp = math.hypot(e2, e3)
     if amp == 0.0:
-        return collector.build()
+        return _EMPTY
     phi = math.atan2(e3, e2)
     s = -e1 / amp
     band = tol.feas_tol * (1.0 + abs(e1) + abs(e2) + abs(e3)) / amp
     if abs(s) > 1.0 + band:
-        return collector.build()
+        return _EMPTY
     if abs(s) >= 1.0 - band:
         # Grazing: R*sin(b + phi) = -e1 with |e1| ~ R.
-        b = mod2pi(math.copysign(math.pi / 2.0, s) - phi)
-        collector.add(b, b, b, True)
-        return collector.build()
+        return _root_set([(mod2pi(math.copysign(math.pi / 2.0, s) - phi), True)])
     psi = math.asin(s)
-    for cand in (psi - phi, math.pi - psi - phi):
-        b = mod2pi(cand)
-        collector.add(b, b, b, False)
-    return collector.build()
+    return _root_set([(mod2pi(psi - phi), False), (mod2pi(math.pi - psi - phi), False)])
 
 
 def solve_envelope(
@@ -332,19 +332,29 @@ def solve_envelope(
     [0, 2*pi), or on a half-open subinterval of it when ``domain`` narrows the
     search.
 
-    The cost is bounded whatever the coefficients.  h is monotone on at most
-    three pieces, and a piece whose image has length V holds at most
-    ceil(V/pi) multiples of pi.  For K > 0, h rises by less than 2*pi + pi:
-    at most three roots of G'.  For K < 0, h falls by less than pi between
-    its critical points and rises by at most 2*pi elsewhere: at most 1 + 3.
-    For K = 0, G' = (b - b0)*|d|*sin(b + theta): at most 1 + 2.  So G has at
-    most four stationary points and five monotone pieces, which takes at
-    most nine bracketed solves (four for h, five for G) of at most 120 steps
-    each, plus fewer than 30 single evaluations at knots.
+    No-root certificate first: the oscillating part is at most hypot(f2 +
+    b*f4, f3 + b*f5), convex in b and so largest at an end of [lo, hi]; if
+    |f1| exceeds that by graze (plus rounding), G has no root there.
+
+    Otherwise the cost is bounded whatever the coefficients.  h is monotone
+    on at most three pieces, and a piece whose image has length V holds at
+    most ceil(V/pi) multiples of pi.  For K > 0, h rises by less than
+    2*pi + pi: at most three roots of G'.  For K < 0, h falls by less than pi
+    between its critical points and rises by at most 2*pi elsewhere: at most
+    1 + 3.  For K = 0, G' = (b - b0)*|d|*sin(b + theta): at most 1 + 2.  So G
+    has at most four stationary points and five monotone pieces, which takes
+    at most nine bracketed solves (four for h, five for G) of at most 120
+    steps each, plus fewer than 30 single evaluations at knots.
     """
     tol = tol or _DEFAULT_TOL
     lo, hi = domain if domain is not None else (0.0, TWO_PI)
-    f1, f2, f3, f4, f5 = coeffs.f1, coeffs.f2, coeffs.f3, coeffs.f4, coeffs.f5
+    if not hi > lo:
+        return _EMPTY
+    scale = coeffs.scale
+    graze = tol.feas_tol * scale
+    if _envelope_rootless(coeffs, lo, hi, graze + _ROUNDING * scale):
+        return _EMPTY
+    f1, f2, f3, f4, f5 = coeffs
     cos, sin = math.cos, math.sin
 
     def g(b: float) -> float:
@@ -358,10 +368,8 @@ def solve_envelope(
             f2 * c - f3 * s + f4 * s + f5 * c + b * (f4 * c - f5 * s),
         )
 
-    if not hi > lo:
-        return _Collector(g).build()
     stationary = _envelope_stationary(coeffs, lo, hi)
-    return _monotone_roots(g, g_fused, lo, hi, stationary, tol.feas_tol * coeffs.scale)
+    return _monotone_roots(g, g_fused, lo, hi, stationary, graze)
 
 
 def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[float]:
@@ -373,7 +381,7 @@ def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[f
     For K = 0 the line runs through the origin (or (P, Q) stands still, when
     a = 0), and G' = (b - b0)*|d|*sin(b + theta) gives the roots directly.
     """
-    f2, f3, f4, f5 = coeffs.f2, coeffs.f3, coeffs.f4, coeffs.f5
+    _, f2, f3, f4, f5 = coeffs
     pi, atan2 = math.pi, math.atan2
     a = f4 * f4 + f5 * f5
     cross = f2 * f4 + f3 * f5
@@ -406,8 +414,7 @@ def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[f
             if level == hp:
                 found.append(p)
             elif low < level < high:
-                r, _, _ = _refine(lambda b: phase(b, level), p, q, hp - level)
-                found.append(r)
+                found.append(_refine(lambda b: phase(b, level), p, q, hp - level))
     return found
 
 

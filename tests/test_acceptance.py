@@ -245,9 +245,10 @@ def test_criterion_6_rootfinder_completeness():
         if not match_root_sets(rs.simple_roots, expected, tol=1e-6):
             missed += 1
         scale = 1.0 + sum(abs(v) for v in c)
-        for res, tang in zip(rs.residuals, rs.tangential):
+        g = quadcos_fn(*c)
+        for root, tang in zip(rs.roots, rs.tangential):
             if not tang:
-                worst_res = max(worst_res, res / scale)
+                worst_res = max(worst_res, abs(g(root)) / scale)
     for _ in range(1000):
         f = [rng.uniform(-10.0, 10.0) for _ in range(5)]
         rs = solve_envelope(EnvelopeCoeffs(*f), tol)
@@ -255,9 +256,10 @@ def test_criterion_6_rootfinder_completeness():
         if not match_root_sets(rs.simple_roots, expected, tol=1e-6):
             missed += 1
         scale = 1.0 + sum(abs(v) for v in f)
-        for res, tang in zip(rs.residuals, rs.tangential):
+        g = envelope_fn(*f)
+        for root, tang in zip(rs.roots, rs.tangential):
             if not tang:
-                worst_res = max(worst_res, res / scale)
+                worst_res = max(worst_res, abs(g(root)) / scale)
     ok = missed == 0 and worst_res <= 1e-9
     _report(
         "criterion 6",

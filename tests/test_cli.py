@@ -213,6 +213,21 @@ def test_batch_huge_turn_radius(tmp_path, capsys):
     assert "best=" in out
 
 
+def test_batch_overflowing_turn_radius(tmp_path, capsys):
+    # At rho = 1.7e308 every path time overflows in physical units: the line
+    # reports no feasible candidate instead of ending the batch, and the
+    # lines around it still plan.
+    path = tmp_path / "scenarios.txt"
+    path.write_text("0.1 0.2 0.5 1 10 1e307\n0.1 0.2 0.5 1 10 1.7e308\n0 0 0 10 90 1\n")
+    status, out, err = run_cli(capsys, "batch", str(path))
+    assert status == 2
+    assert err == ""
+    blocks = out.split("\n\n")
+    assert len(blocks) == 3
+    assert "best=" in blocks[0] and "best=" in blocks[2]
+    assert blocks[1].splitlines()[-1] == "# no feasible candidate"
+
+
 def test_plan_error_names_the_bad_field(capsys):
     status, _, err = run_cli(
         capsys, "plan", "--wind", "0,0", "--target", "nan,1",

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windubins import (
     EnvelopeCoeffs,
@@ -14,7 +16,12 @@ from windubins import (
     solve_sinusoid,
 )
 from windubins.geometry import TWO_PI
-from windubins.rootfind import _envelope_stationary
+from windubins.rootfind import (
+    _ROUNDING,
+    _envelope_rootless,
+    _envelope_stationary,
+    _quadcos_rootless,
+)
 
 from grid_oracle import dense_grid_roots, envelope_fn, match_root_sets, quadcos_fn
 
@@ -48,6 +55,15 @@ def test_quadcos_rejects_nonfinite():
         EnvelopeCoeffs(0, math.inf, 0, 0, 0)
 
 
+def test_coefficient_records_check_every_constructor():
+    q = QuadCosCoeffs(1.0, 2.0, 3.0, 4.0)
+    assert q._replace(c2=5.0) == (1.0, 5.0, 3.0, 4.0) and q.scale == 11.0
+    with pytest.raises(ValueError):
+        q._replace(c1=math.nan)
+    with pytest.raises(ValueError):
+        SinusoidCoeffs._make([0.0, math.inf, 0.0])
+
+
 def test_quadcos_matches_grid_oracle():
     rng = random.Random(100)
     for _ in range(150):
@@ -57,18 +73,24 @@ def test_quadcos_matches_grid_oracle():
         assert match_root_sets(rs.simple_roots, expected, tol=1e-6), (c, rs.roots, expected)
 
 
+def _assert_sign_change_near(g, root):
+    # A sign change (or an exact zero) within 1e-10 around a simple root.
+    left, right = g(root - 5e-11), g(root + 5e-11)
+    assert left * right <= 0.0 or g(root) == 0.0, (root, left, right)
+
+
 def test_quadcos_residuals_and_brackets():
     rng = random.Random(101)
     for _ in range(80):
         c = [rng.uniform(-10, 10) for _ in range(4)]
         coeffs = QuadCosCoeffs(*c)
         rs = solve_quadcos(coeffs, TOL)
-        for root, (lo, hi), res, tang in zip(rs.roots, rs.brackets, rs.residuals, rs.tangential):
+        g = quadcos_fn(*c)
+        for root, tang in zip(rs.roots, rs.tangential):
             if tang:
                 continue
-            assert hi - lo <= 1e-10
-            assert lo <= root <= hi
-            assert res <= 1e-9 * coeffs.scale
+            _assert_sign_change_near(g, root)
+            assert abs(g(root)) <= 1e-9 * coeffs.scale
 
 
 def test_quadcos_deterministic():
@@ -76,8 +98,7 @@ def test_quadcos_deterministic():
     a = solve_quadcos(coeffs, TOL)
     b = solve_quadcos(coeffs, TOL)
     assert a.roots == b.roots
-    assert a.brackets == b.brackets
-    assert a.residuals == b.residuals
+    assert a.tangential == b.tangential
 
 
 def test_quadcos_monotone_partition_premise():
@@ -132,9 +153,10 @@ def test_sinusoid_residuals():
     for _ in range(200):
         e = [rng.uniform(-10, 10) for _ in range(3)]
         rs = solve_sinusoid(SinusoidCoeffs(*e), TOL)
-        for root, res, tang in zip(rs.roots, rs.residuals, rs.tangential):
+        for root, tang in zip(rs.roots, rs.tangential):
             assert 0.0 <= root < TWO_PI
             if not tang:
+                res = abs(e[0] + e[1] * math.sin(root) + e[2] * math.cos(root))
                 assert res <= 1e-9 * (1 + sum(abs(v) for v in e))
 
 
@@ -168,11 +190,12 @@ def test_envelope_residuals_and_brackets():
         f = [rng.uniform(-10, 10) for _ in range(5)]
         coeffs = EnvelopeCoeffs(*f)
         rs = solve_envelope(coeffs, TOL)
-        for root, (lo, hi), res, tang in zip(rs.roots, rs.brackets, rs.residuals, rs.tangential):
+        g = envelope_fn(*f)
+        for root, tang in zip(rs.roots, rs.tangential):
             if tang:
                 continue
-            assert hi - lo <= 1e-10
-            assert res <= 1e-9 * coeffs.scale
+            _assert_sign_change_near(g, root)
+            assert abs(g(root)) <= 1e-9 * coeffs.scale
 
 
 def test_envelope_tangential_double_root():
@@ -219,3 +242,95 @@ def test_envelope_stationary_points_bounded_and_complete():
 
         expected = dense_grid_roots(gp, n=200_000)
         assert match_root_sets(found, expected, tol=1e-6), (f1, f2, f3, f4, f5, found, expected)
+
+
+# ---------------------------------------------------------------------------
+# No-root certificates
+
+
+def _graze(coeffs):
+    return TOL.feas_tol * coeffs.scale
+
+
+def _slack(coeffs):
+    return _graze(coeffs) + _ROUNDING * coeffs.scale
+
+
+def test_certificates_keep_grazing_roots():
+    # cos(b) + 1 and its envelope twin touch zero at pi without crossing it.
+    for rs in (
+        solve_quadcos(QuadCosCoeffs(0, 0, 1, 1), TOL),
+        solve_envelope(EnvelopeCoeffs(1, 0, 1, 0, 0), TOL),
+    ):
+        assert len(rs) == 1 and rs.tangential == (True,)
+        assert rs.roots[0] == pytest.approx(math.pi, abs=1e-4)
+
+
+@pytest.mark.parametrize("shift,grazes", [(0.5, True), (2.0, False)])
+def test_certificates_at_the_graze_band(shift, grazes):
+    # Each G has its minimum delta at b = pi, with delta a multiple of the
+    # graze slack: half of it is a grazing root the certificate must leave
+    # alone, twice it is no root and the certificate fires.
+    base = QuadCosCoeffs(0.5, -math.pi, 1.0, 0.5 * math.pi**2 + 1.0)
+    delta = shift * _graze(base)
+    quad = QuadCosCoeffs(base.c1, base.c2, base.c3, base.c4 + delta)
+    env_base = EnvelopeCoeffs(1.0, 0.0, 1.0, 0.0, 0.0)
+    env = EnvelopeCoeffs(1.0 + shift * _graze(env_base), 0.0, 1.0, 0.0, 0.0)
+    assert _quadcos_rootless(quad, 0.0, TWO_PI, _slack(quad)) is not grazes
+    assert _envelope_rootless(env, 0.0, TWO_PI, _slack(env)) is not grazes
+    for rs in (solve_quadcos(quad, TOL), solve_envelope(env, TOL)):
+        if grazes:
+            assert rs.tangential == (True,)
+            assert rs.roots[0] == pytest.approx(math.pi, abs=1e-4)
+        else:
+            assert len(rs) == 0
+
+
+_COEF = st.floats(-10.0, 10.0)
+_ANGLE = st.floats(0.0, TWO_PI)
+#: where the certificate's bound sits against |G|, in units of graze
+_MARGIN = st.floats(-2.0, 4.0)
+#: where |f1| sits between the envelope's end amplitudes; 1 is the larger
+_SHARE = st.just(1.0) | st.floats(0.0, 1.0)
+
+
+def _domain(a, b):
+    lo, hi = min(a, b), max(a, b)
+    return (lo, hi) if hi > lo else (0.0, TWO_PI)
+
+
+def _assert_no_root_on(g, coeffs, lo, hi):
+    xs = np.linspace(lo, hi, 200_000)
+    assert np.min(np.abs(g(xs))) > _graze(coeffs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_COEF, _COEF, _COEF, _MARGIN, st.booleans(), _ANGLE, _ANGLE)
+def test_quadcos_certificate_is_sound(c1, c2, c3, margin, below, a, b):
+    # c4 puts the extremum of q = c1*b^2 + c2*b + c4 near |c3| + margin*graze.
+    lo, hi = _domain(a, b)
+    xs = [lo, hi] + ([-c2 / (2.0 * c1)] if c1 != 0.0 else [])
+    qs = [c1 * x * x + c2 * x for x in xs if lo <= x <= hi]
+    c4 = 0.0
+    for _ in range(2):  # graze grows with |c4|
+        reach = abs(c3) + margin * _graze(QuadCosCoeffs(c1, c2, c3, c4))
+        c4 = -max(qs) - reach if below else reach - min(qs)
+    coeffs = QuadCosCoeffs(c1, c2, c3, c4)
+    if _quadcos_rootless(coeffs, lo, hi, _slack(coeffs)):
+        _assert_no_root_on(quadcos_fn(*coeffs), coeffs, lo, hi)
+        assert len(solve_quadcos(coeffs, TOL, domain=(lo, hi))) == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_COEF, _COEF, _COEF, _COEF, _SHARE, _MARGIN, st.booleans(), _ANGLE, _ANGLE)
+def test_envelope_certificate_is_sound(f2, f3, f4, f5, share, margin, negative, a, b):
+    # |f1| lies between the oscillation's amplitudes at the two ends of the
+    # domain (at the larger one for share = 1), plus margin*graze.
+    lo, hi = _domain(a, b)
+    ends = sorted((math.hypot(f2 + lo * f4, f3 + lo * f5), math.hypot(f2 + hi * f4, f3 + hi * f5)))
+    reach = ends[0] + share * (ends[1] - ends[0])
+    f1 = reach + margin * _graze(EnvelopeCoeffs(reach, f2, f3, f4, f5))
+    coeffs = EnvelopeCoeffs(-f1 if negative else f1, f2, f3, f4, f5)
+    if _envelope_rootless(coeffs, lo, hi, _slack(coeffs)):
+        _assert_no_root_on(envelope_fn(*coeffs), coeffs, lo, hi)
+        assert len(solve_envelope(coeffs, TOL, domain=(lo, hi))) == 0
