@@ -19,7 +19,7 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .families import MIRROR_VARIANT, Variant
 from .geometry import Scenario, ToleranceSet, WindVector
@@ -37,27 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _pair(flag: str):
-    def parse(text: str) -> tuple[float, float]:
+def _numbers(flag: str, count: int, shape: str):
+    """Parser of ``count`` comma-separated numbers; ``shape`` names them in
+    the error message."""
+
+    def parse(text: str) -> tuple[float, ...]:
         parts = text.split(",")
-        if len(parts) != 2:
-            raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {shape}, got {text!r}")
         try:
-            return (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"non-numeric value in {text!r}") from None
-
-    parse.__name__ = flag
-    return parse
-
-
-def _triple(flag: str):
-    def parse(text: str) -> tuple[float, float, float]:
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"expected X,Y,THETA_DEG, got {text!r}")
-        try:
-            return (float(parts[0]), float(parts[1]), float(parts[2]))
+            return tuple(float(p) for p in parts)
         except ValueError:
             raise argparse.ArgumentTypeError(f"non-numeric value in {text!r}") from None
 
@@ -71,8 +60,8 @@ def _positive(flag: str):
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"non-numeric value {text!r}") from None
-        if not value > 0.0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        if not 0.0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text!r}")
         return value
 
     parse.__name__ = flag
@@ -93,11 +82,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     p_plan = sub.add_parser("plan", help="solve one scenario")
-    p_plan.add_argument("--wind", type=_pair("wind"), required=True, metavar="WX,WY")
-    p_plan.add_argument("--target", type=_pair("target"), required=True, metavar="X,Y")
+    pair = "two comma-separated numbers"
+    p_plan.add_argument("--wind", type=_numbers("wind", 2, pair), required=True, metavar="WX,WY")
+    p_plan.add_argument("--target", type=_numbers("target", 2, pair), required=True, metavar="X,Y")
     p_plan.add_argument("--theta-f-deg", type=float, required=True, metavar="D")
     p_plan.add_argument("--rho", type=_positive("rho"), required=True, metavar="R")
-    p_plan.add_argument("--start", type=_triple("start"), default=None, metavar="X,Y,THETA_DEG")
+    p_plan.add_argument(
+        "--start", type=_numbers("start", 3, "X,Y,THETA_DEG"), default=None, metavar="X,Y,THETA_DEG"
+    )
     _add_common(p_plan)
 
     p_batch = sub.add_parser("batch", help="solve scenarios from a file")
@@ -157,7 +149,10 @@ def _format_table(result: PlanResult) -> str:
 
 
 def _format_csv(result: PlanResult, scenario: Scenario, dt: float) -> str:
-    rows = sample(result.best, dt, scenario)
+    try:
+        rows = sample(result.best, dt, scenario)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
@@ -186,13 +181,8 @@ def _run_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass
-class _BatchLine:
-    number: int
-    scenario: Scenario
-
-
-def _parse_batch(path: str) -> list[_BatchLine]:
+def _parse_batch(path: str) -> list[tuple[int, Scenario]]:
+    """(line number, scenario) for each scenario line of the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
@@ -220,20 +210,18 @@ def _parse_batch(path: str) -> list[_BatchLine]:
             )
         except ValueError as exc:
             raise _CliError(f"argument FILE: line {i}: {exc}") from None
-        out.append(_BatchLine(i, scenario))
+        out.append((i, scenario))
     return out
 
 
 def _run_batch(args: argparse.Namespace) -> int:
-    lines = _parse_batch(args.path)
     chunks = []
     any_infeasible = False
-    for item in lines:
-        s = item.scenario
+    for number, s in _parse_batch(args.path):
         if args.feas_tol is not None or args.residual_tol is not None:
             s = replace(s, tol=_tolerances(args))
         header = (
-            f"# scenario {item.number}: wind={s.wind.wx:g},{s.wind.wy:g}"
+            f"# scenario {number}: wind={s.wind.wx:g},{s.wind.wy:g}"
             f" target={s.target_x:g},{s.target_y:g}"
             f" theta_f_deg={math.degrees(s.theta_f):g} rho={s.rho:g}\n"
         )
@@ -242,7 +230,10 @@ def _run_batch(args: argparse.Namespace) -> int:
             any_infeasible = True
             chunks.append(header + "# no feasible candidate\n")
             continue
-        chunks.append(header + _emit(result, s, args))
+        try:
+            chunks.append(header + _emit(result, s, args))
+        except _CliError as exc:
+            raise _CliError(f"argument FILE: line {number}: {exc}") from None
     _write(args, "\n".join(chunks))
     return 2 if any_infeasible else 0
 

@@ -249,9 +249,7 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
 
 
 def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a*x^2 + b*x + c, numerically stable, ascending."""
-    if a == 0.0:
-        return [] if b == 0.0 else [-c / b]
+    """Real roots of a*x^2 + b*x + c with a > 0, numerically stable, ascending."""
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []

@@ -91,8 +91,8 @@ class ToleranceSet:
 
     def __post_init__(self) -> None:
         for name in ("feas_tol", "residual_tol", "zero_angle_eps"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     def accepts(self, total: float, residual: float, heading_error: float, rho: float) -> bool:
         """The acceptance check of a candidate of total time ``total`` whose
@@ -124,24 +124,6 @@ class ControlSchedule:
     @property
     def total_duration(self) -> float:
         return math.fsum(dur for _, dur in self.pieces)
-
-    def control_at(self, t: float) -> int:
-        """Control active at time t (right-continuous; last piece at the end)."""
-        acc = 0.0
-        for u, dur in self.pieces:
-            acc += dur
-            if t < acc:
-                return u
-        return self.pieces[-1][0] if self.pieces else 0
-
-    def switch_times(self) -> list[float]:
-        """Interior piece boundaries, strictly between 0 and the total duration."""
-        out, acc = [], 0.0
-        for _, dur in self.pieces[:-1]:
-            acc += dur
-            if 0.0 < acc < self.total_duration:
-                out.append(acc)
-        return out
 
 
 DEFAULT_START = (0.0, 0.0, HALF_PI)
@@ -210,24 +192,18 @@ class RigidTransform:
     """Rotation by ``angle`` about the origin after translating ``origin`` to it.
 
     Maps original-frame data to the normalized frame via ``to_local``:
-    points translate and rotate, free vectors (wind) only rotate.
+    points translate and rotate, free vectors (wind) only rotate.  The
+    inverse, rotation by -``angle`` and then translation by ``origin``, maps
+    a planned path back (see ``planner.sample``).
     """
 
     angle: float
     origin: tuple[float, float]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.angle == 0.0 and self.origin == (0.0, 0.0)
-
     def to_local(self, x: float, y: float) -> tuple[float, float]:
         dx, dy = x - self.origin[0], y - self.origin[1]
         c, s = math.cos(self.angle), math.sin(self.angle)
         return (c * dx - s * dy, s * dx + c * dy)
-
-    def to_world(self, x: float, y: float) -> tuple[float, float]:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return (c * x + s * y + self.origin[0], -s * x + c * y + self.origin[1])
 
     def vec_to_local(self, x: float, y: float) -> tuple[float, float]:
         c, s = math.cos(self.angle), math.sin(self.angle)
@@ -235,9 +211,6 @@ class RigidTransform:
 
     def angle_to_local(self, theta: float) -> float:
         return mod2pi(theta + self.angle)
-
-    def angle_to_world(self, theta: float) -> float:
-        return mod2pi(theta - self.angle)
 
 
 IDENTITY_TRANSFORM = RigidTransform(0.0, (0.0, 0.0))
@@ -248,8 +221,9 @@ def normalize(scenario: Scenario) -> tuple[Scenario, RigidTransform]:
 
     Returns the normalized scenario and the rigid transform that maps
     original-frame data into the normalized frame.  Wind rotates with the
-    frame; the target translates and rotates.  Applying ``to_world`` to a
-    planned path reproduces a solution of the original scenario.
+    frame; the target translates and rotates.  Mapping a planned path back
+    through the inverse transform reproduces a solution of the original
+    scenario.
     """
     sx, sy, sth = scenario.start
     if scenario.is_normalized():
@@ -294,19 +268,42 @@ def integrate(start: RelativeState, schedule: ControlSchedule, rho: float) -> Re
 
 
 def state_at(
-    start: RelativeState, schedule: ControlSchedule, rho: float, t: float
-) -> tuple[float, float, float, int]:
-    """Pose at an arbitrary time along a schedule, plus the active control."""
+    start: RelativeState, schedule: ControlSchedule, rho: float, times: list[float]
+) -> list[tuple[float, float, float, int]]:
+    """Pose and control at each of ``times`` along a schedule.
+
+    Each piece is propagated in full once; a time inside a piece propagates
+    from that piece's start pose only.  A time past the end takes the end
+    pose.  The heading is wrapped to [0, 2*pi).  The control is the one active
+    on [t, next switch): at a switch time the pose ends the earlier piece and
+    the control starts the next one, and past the end it is the last piece's.
+    """
+    pieces = schedule.pieces
+    poses, ends = [], []  # pose at each piece's start; running sum d0 + d1 + ...
     x, y, th = start.x, start.y, start.theta
-    remaining = t
-    last_u = schedule.pieces[-1][0] if schedule.pieces else 0
-    for u, dur in schedule.pieces:
-        if remaining <= dur:
-            x, y, th = propagate(x, y, th, u, remaining, rho)
-            return (x, y, mod2pi(th), u)
+    acc = 0.0
+    for u, dur in pieces:
+        poses.append((x, y, th))
         x, y, th = propagate(x, y, th, u, dur, rho)
-        remaining -= dur
-    return (x, y, mod2pi(th), last_u)
+        acc += dur
+        ends.append(acc)
+    end = (x, y, th)
+    rows = []
+    for t in times:
+        remaining = t
+        for (u, dur), (x, y, th) in zip(pieces, poses):
+            if remaining <= dur:
+                x, y, th = propagate(x, y, th, u, remaining, rho)
+                break
+            remaining -= dur
+        else:
+            x, y, th = end
+        u = 0
+        for (u, _), end_t in zip(pieces, ends):
+            if t < end_t:
+                break
+        rows.append((x, y, mod2pi(th), u))
+    return rows
 
 
 def to_inertial(rel: RelativeState, t: float, wind: WindVector) -> tuple[float, float]:

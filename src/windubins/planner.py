@@ -17,16 +17,18 @@ from typing import NamedTuple
 from .families import Family, PathCandidate, solve_all
 from .geometry import (
     RelativeState,
-    RigidTransform,
     Scenario,
     ang_dist,
     integrate,
+    mod2pi,
     normalize,
     state_at,
     target_relative,
 )
 
 _TIE_EPS = 1e-12
+#: Row ceiling of ``sample``: a step that would give more rows is rejected.
+MAX_SAMPLE_ROWS = 10**6
 _START = RelativeState(0.0, 0.0, math.pi / 2)
 
 
@@ -46,15 +48,13 @@ class PlanResult:
 
     ``best`` is None (and ``t_f`` infinite) when no feasible candidate exists.
     ``per_family_times`` maps every family to its fastest candidate time, with
-    +inf marking families that produced nothing.  ``denormalizing_transform``
-    maps normalized-frame data back to the caller's frame.
+    +inf marking families that produced nothing.
     """
 
     best: PathCandidate | None
     all_candidates: tuple[PathCandidate, ...]
     t_f: float
     per_family_times: dict[Family, float]
-    denormalizing_transform: RigidTransform
     wall_time: float
 
     @property
@@ -105,7 +105,7 @@ def plan(scenario: Scenario) -> PlanResult:
     ValueError at Scenario construction.
     """
     t0 = time.perf_counter()
-    norm, transform = normalize(scenario)
+    norm, _ = normalize(scenario)
     candidates = solve_all(norm)
     tie = _TIE_EPS * norm.rho
     ordered = tuple(
@@ -129,7 +129,6 @@ def plan(scenario: Scenario) -> PlanResult:
         all_candidates=ordered,
         t_f=best.total_time if best is not None else math.inf,
         per_family_times=per_family,
-        denormalizing_transform=transform,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -141,33 +140,44 @@ def sample(candidate: PathCandidate, dt: float, scenario: Scenario) -> list[Traj
     Rows carry the air-relative pose (in the caller's frame) and the inertial
     position; the control column holds the control active on [t_k, t_{k+1}),
     so re-integrating it row by row reproduces the pose columns exactly.
+    Raises ValueError when dt is not positive and finite, or when it would
+    give more than ``MAX_SAMPLE_ROWS`` rows.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    norm, transform = normalize(scenario)
     total = candidate.total_time
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"sample step must be positive and finite, got {dt}")
+    if not total / dt <= MAX_SAMPLE_ROWS:
+        raise ValueError(
+            f"sample step {dt:g} gives {total / dt:.3g} rows over t_f={total:g};"
+            f" at most {MAX_SAMPLE_ROWS} are supported"
+        )
+    norm, transform = normalize(scenario)
+    schedule = candidate.schedule
     times = [k * dt for k in range(int(total / dt) + 1)]
-    times.extend(candidate.schedule.switch_times())
+    switch, end = 0.0, schedule.total_duration
+    for _, dur in schedule.pieces[:-1]:
+        switch += dur
+        if 0.0 < switch < end:
+            times.append(switch)
     times.append(total)
     times.sort()
+    eps = 1e-12 * max(1.0, total)
     merged: list[float] = []
     for t in times:
-        if not merged or t - merged[-1] > 1e-12 * max(1.0, total):
+        if not merged or t - merged[-1] > eps:
             merged.append(min(t, total))
     if merged[-1] != total:
-        if total - merged[-1] <= 1e-12 * max(1.0, total):
+        if total - merged[-1] <= eps:
             merged[-1] = total
         else:
             merged.append(total)
 
-    wind = scenario.wind
+    # Back to the caller's frame: rotate by -angle, then translate by origin.
+    angle, (ox, oy) = transform.angle, transform.origin
+    c, s = math.cos(angle), math.sin(angle)
+    wx, wy = scenario.wind.wx, scenario.wind.wy
     rows = []
-    for t in merged:
-        x, y, th, _ = state_at(_START, candidate.schedule, norm.rho, t)
-        u = candidate.schedule.control_at(t)
-        wx_, wy_ = transform.to_world(x, y)
-        th_w = transform.angle_to_world(th)
-        ix = wx_ + t * wind.wx
-        iy = wy_ + t * wind.wy
-        rows.append(TrajectoryPoint(t, wx_, wy_, th_w, u, ix, iy))
+    for t, (x, y, th, u) in zip(merged, state_at(_START, schedule, norm.rho, merged)):
+        xw, yw = c * x + s * y + ox, -s * x + c * y + oy
+        rows.append(TrajectoryPoint(t, xw, yw, mod2pi(th - angle), u, xw + t * wx, yw + t * wy))
     return rows

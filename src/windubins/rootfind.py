@@ -110,10 +110,6 @@ class RootSet:
     def __len__(self) -> int:
         return len(self.roots)
 
-    @property
-    def simple_roots(self) -> tuple[float, ...]:
-        return tuple(r for r, t in zip(self.roots, self.tangential) if not t)
-
 
 _EMPTY = RootSet((), ())
 

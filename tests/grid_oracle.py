@@ -54,3 +54,9 @@ def match_root_sets(found, expected, tol: float = 1e-6) -> bool:
     if len(found) != len(expected):
         return False
     return all(abs(a - b) <= tol for a, b in zip(sorted(found), sorted(expected)))
+
+
+def simple_roots(root_set) -> tuple[float, ...]:
+    """The roots of a ``RootSet`` found by a sign change, without the
+    tangential (grazing) ones a sign-change scan cannot see."""
+    return tuple(r for r, t in zip(root_set.roots, root_set.tangential) if not t)

@@ -42,7 +42,7 @@ from conftest import (
     mirrored,
     random_scenario,
 )
-from grid_oracle import dense_grid_roots, envelope_fn, match_root_sets, quadcos_fn
+from grid_oracle import dense_grid_roots, envelope_fn, match_root_sets, quadcos_fn, simple_roots
 from oracle import ORACLE_TIME_BOUND, brute_force, classical_dubins
 
 
@@ -242,7 +242,7 @@ def test_criterion_6_rootfinder_completeness():
         c = [rng.uniform(-10.0, 10.0) for _ in range(4)]
         rs = solve_quadcos(QuadCosCoeffs(*c), tol)
         expected = dense_grid_roots(quadcos_fn(*c))
-        if not match_root_sets(rs.simple_roots, expected, tol=1e-6):
+        if not match_root_sets(simple_roots(rs), expected, tol=1e-6):
             missed += 1
         scale = 1.0 + sum(abs(v) for v in c)
         g = quadcos_fn(*c)
@@ -253,7 +253,7 @@ def test_criterion_6_rootfinder_completeness():
         f = [rng.uniform(-10.0, 10.0) for _ in range(5)]
         rs = solve_envelope(EnvelopeCoeffs(*f), tol)
         expected = dense_grid_roots(envelope_fn(*f))
-        if not match_root_sets(rs.simple_roots, expected, tol=1e-6):
+        if not match_root_sets(simple_roots(rs), expected, tol=1e-6):
             missed += 1
         scale = 1.0 + sum(abs(v) for v in f)
         g = envelope_fn(*f)

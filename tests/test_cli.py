@@ -204,6 +204,30 @@ def test_batch_out_of_domain_line(tmp_path, capsys, line):
     assert err.startswith("error: argument FILE: line 1: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--sample-dt", "1e-320"), ("--sample-dt", "inf"), ("--feas-tol", "inf")]
+)
+def test_plan_rejects_bad_step_or_tolerance(capsys, flag, value):
+    status, out, err = run_cli(
+        capsys, "plan", "--wind", "0.4755,-0.1545", "--target", "5,-2",
+        "--theta-f-deg", "72", "--rho", "1", "--output", "csv", flag, value,
+    )
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_batch_csv_row_ceiling(tmp_path, capsys):
+    # At rho = 1e200 the path lasts about 5e200, so the default step would
+    # ask for about 5e201 rows; the line is rejected before any row is made.
+    path = tmp_path / "scenarios.txt"
+    path.write_text("0.1 0.2 0.5 1 10 1e200\n")
+    status, out, err = run_cli(capsys, "batch", str(path), "--output", "csv")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: argument FILE: line 1: ") and err.count("\n") == 1
+
+
 def test_batch_huge_turn_radius(tmp_path, capsys):
     path = tmp_path / "scenarios.txt"
     path.write_text("0.1 0.2 0.5 1 10 1e200\n")

@@ -5,16 +5,20 @@ import pytest
 
 from windubins import (
     ControlSchedule,
+    PathCandidate,
     RelativeState,
     Scenario,
+    SegmentParams,
     ToleranceSet,
+    Variant,
     WindVector,
     integrate,
     normalize,
+    sample,
     target_relative,
     to_inertial,
 )
-from windubins.geometry import HALF_PI, TWO_PI, mod2pi, ang_dist
+from windubins.geometry import HALF_PI, TWO_PI, mod2pi, ang_dist, propagate, state_at
 
 from conftest import make_case1_rounded
 from oracle import rk4_integrate
@@ -45,8 +49,10 @@ def test_wind_vector_rejects_fast_wind():
 
 
 def test_tolerances_positive():
-    with pytest.raises(ValueError):
-        ToleranceSet(feas_tol=0.0)
+    for name in ("feas_tol", "residual_tol", "zero_angle_eps"):
+        for value in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ToleranceSet(**{name: value})
 
 
 def test_scenario_rejects_bad_rho():
@@ -84,10 +90,54 @@ def test_control_schedule_validation():
         ControlSchedule(((1, -0.5),))
     sched = ControlSchedule(((0, 1.0), (1, 2.0), (-1, 0.5)))
     assert sched.total_duration == pytest.approx(3.5, abs=0)
-    assert sched.switch_times() == [1.0, 3.0]
-    assert sched.control_at(0.5) == 0
-    assert sched.control_at(1.0) == 1  # boundary belongs to the next piece
-    assert sched.control_at(3.5) == -1
+    rows = state_at(START, sched, 1.0, [0.5, 1.0, 3.0, 3.5, 4.0])
+    assert [r[3] for r in rows] == [0, 1, -1, -1, -1]  # a boundary takes the next control
+    assert rows[1][:3] == pytest.approx((0.0, 1.0, HALF_PI), abs=1e-15)  # and the earlier pose
+    assert rows[4] == rows[3]  # past the end: the end pose
+
+
+def _state_at_one(start, schedule, rho, t):
+    """Reference: pose at time t walked from t = 0, and the control active on
+    [t, next switch), both computed on their own for this one time."""
+    x, y, th = start.x, start.y, start.theta
+    remaining = t
+    for u, dur in schedule.pieces:
+        if remaining <= dur:
+            x, y, th = propagate(x, y, th, u, remaining, rho)
+            break
+        x, y, th = propagate(x, y, th, u, dur, rho)
+        remaining -= dur
+    acc, control = 0.0, schedule.pieces[-1][0]
+    for u, dur in schedule.pieces:
+        acc += dur
+        if t < acc:
+            control = u
+            break
+    return (x, y, mod2pi(th), control)
+
+
+def test_state_at_matches_per_time_walk():
+    # One walk of the schedule must give bit for bit what walking it from
+    # t = 0 for every time gives, at switch times and past the end too.
+    rng = random.Random(17)
+    for _ in range(200):
+        pieces = tuple(
+            (rng.choice((-1, 0, 1)), rng.choice((0.0, rng.uniform(0.0, 5.0))))
+            for _ in range(rng.randint(1, 3))
+        )
+        sched = ControlSchedule(pieces)
+        rho = 10.0 ** rng.uniform(-3.0, 3.0)
+        start = RelativeState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, TWO_PI))
+        acc, switches = 0.0, []
+        for _, dur in pieces:
+            acc += dur
+            switches.append(acc)
+        total = sched.total_duration
+        times = sorted(
+            [rng.uniform(0.0, total) for _ in range(20)] + switches + [0.0, total, total + 1.0]
+        )
+        expected = [_state_at_one(start, sched, rho, t) for t in times]
+        assert state_at(start, sched, rho, times) == expected
 
 
 def test_integrate_straight_segment():
@@ -184,7 +234,7 @@ def test_normalize_identity():
     sc = make_case1_rounded()
     norm, tf = normalize(sc)
     assert norm is sc
-    assert tf.is_identity
+    assert (tf.angle, tf.origin) == (0.0, (0.0, 0.0))
 
 
 def test_normalize_pure_translation():
@@ -200,7 +250,7 @@ def test_normalize_pure_translation():
     assert norm.target == (2.0, 0.0)
     assert (norm.wind.wx, norm.wind.wy) == (0.1, 0.0)
     assert norm.is_normalized()
-    assert tf.to_world(0.0, 0.0) == (1.0, 0.0)
+    assert (tf.angle, tf.origin) == (0.0, (1.0, 0.0))
 
 
 def test_normalize_rotation():
@@ -221,8 +271,8 @@ def test_normalize_rotation():
 
 
 def test_normalize_round_trip_against_original_frame():
-    # Propagating in the normalized frame and mapping back must agree with
-    # propagating directly from the original start pose.
+    # Propagating in the normalized frame and mapping back, as sample does,
+    # must agree with propagating directly from the original start pose.
     rng = random.Random(21)
     for _ in range(30):
         start = (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, TWO_PI))
@@ -238,11 +288,11 @@ def test_normalize_round_trip_against_original_frame():
         sched = ControlSchedule(
             tuple((rng.choice((-1, 0, 1)), rng.uniform(0, 4)) for _ in range(3))
         )
-        end_norm = integrate(RelativeState(0, 0, HALF_PI), sched, sc.rho)
+        cand = PathCandidate(Variant.LSL, SegmentParams(), sched.total_duration, sched, 0.0)
+        back = sample(cand, cand.total_time, sc)[-1]
         end_orig = integrate(RelativeState(*start), sched, sc.rho)
-        bx, by = tf.to_world(end_norm.x, end_norm.y)
-        assert math.hypot(bx - end_orig.x, by - end_orig.y) < 1e-12
-        assert ang_dist(tf.angle_to_world(end_norm.theta), end_orig.theta) < 1e-12
+        assert math.hypot(back.x_rel - end_orig.x, back.y_rel - end_orig.y) < 1e-12
+        assert ang_dist(back.theta, end_orig.theta) < 1e-12
         # Target track commutes with the transform at every time.
         for t in (0.0, 1.7, 5.2):
             ox, oy = target_relative(sc, t)

@@ -169,14 +169,21 @@ def test_sample_case1_endpoint_hits_inertial_target(case1):
     assert rows[-1].t == result.t_f
     assert rows[-1].x_inertial == pytest.approx(5.0, abs=1e-6)
     assert rows[-1].y_inertial == pytest.approx(-2.0, abs=1e-6)
-    # Control switches appear as explicit rows.
-    for s in result.best.schedule.switch_times():
-        assert any(abs(r.t - s) < 1e-12 for r in rows)
+    # Control switches appear as explicit rows, each carrying the control of
+    # the piece that starts there.
+    pieces = result.best.schedule.pieces
+    switch = 0.0
+    for (_, dur), (u_next, _) in zip(pieces, pieces[1:]):
+        switch += dur
+        at_switch = [r for r in rows if r.t == switch]
+        assert len(at_switch) == 1 and at_switch[0].u == u_next
 
 
 def test_sample_rejects_bad_dt(case1):
-    with pytest.raises(ValueError):
-        sample(plan(case1).best, 0.0, case1)
+    best = plan(case1).best
+    for dt in (0.0, -0.1, math.inf, math.nan, 1e-320):  # 1e-320: too many rows
+        with pytest.raises(ValueError):
+            sample(best, dt, case1)
 
 
 def test_plan_arbitrary_start_pose_round_trip():

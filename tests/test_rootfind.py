@@ -23,7 +23,7 @@ from windubins.rootfind import (
     _quadcos_rootless,
 )
 
-from grid_oracle import dense_grid_roots, envelope_fn, match_root_sets, quadcos_fn
+from grid_oracle import dense_grid_roots, envelope_fn, match_root_sets, quadcos_fn, simple_roots
 
 TOL = ToleranceSet()
 
@@ -70,7 +70,7 @@ def test_quadcos_matches_grid_oracle():
         c = [rng.uniform(-10, 10) for _ in range(4)]
         rs = solve_quadcos(QuadCosCoeffs(*c), TOL)
         expected = dense_grid_roots(quadcos_fn(*c), n=200_000)
-        assert match_root_sets(rs.simple_roots, expected, tol=1e-6), (c, rs.roots, expected)
+        assert match_root_sets(simple_roots(rs), expected, tol=1e-6), (c, rs.roots, expected)
 
 
 def _assert_sign_change_near(g, root):
@@ -127,9 +127,9 @@ def test_quadcos_domain_restriction():
     for _ in range(40):
         c = [rng.uniform(-10, 10) for _ in range(4)]
         coeffs = QuadCosCoeffs(*c)
-        full = solve_quadcos(coeffs, TOL).simple_roots
+        full = simple_roots(solve_quadcos(coeffs, TOL))
         lo, hi = sorted((rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)))
-        sub = solve_quadcos(coeffs, TOL, domain=(lo, hi)).simple_roots
+        sub = simple_roots(solve_quadcos(coeffs, TOL, domain=(lo, hi)))
         expected = [r for r in full if lo <= r < hi]
         assert match_root_sets(sub, expected, tol=1e-9)
 
@@ -166,7 +166,7 @@ def test_envelope_reduces_to_sinusoid():
         e = [rng.uniform(-10, 10) for _ in range(3)]
         env = solve_envelope(EnvelopeCoeffs(e[0], e[1], e[2], 0.0, 0.0), TOL)
         sin_rs = solve_sinusoid(SinusoidCoeffs(*e), TOL)
-        assert match_root_sets(env.simple_roots, sin_rs.simple_roots, tol=1e-9)
+        assert match_root_sets(simple_roots(env), simple_roots(sin_rs), tol=1e-9)
 
 
 def test_envelope_factored_zeros():
@@ -181,7 +181,7 @@ def test_envelope_matches_grid_oracle():
         f = [rng.uniform(-10, 10) for _ in range(5)]
         rs = solve_envelope(EnvelopeCoeffs(*f), TOL)
         expected = dense_grid_roots(envelope_fn(*f), n=200_000)
-        assert match_root_sets(rs.simple_roots, expected, tol=1e-6), (f, rs.roots, expected)
+        assert match_root_sets(simple_roots(rs), expected, tol=1e-6), (f, rs.roots, expected)
 
 
 def test_envelope_residuals_and_brackets():
@@ -217,7 +217,7 @@ def test_envelope_phase_jump_at_origin_crossing():
     f = (1.0, -1.0, -2.0, 0.0, 1.0)
     rs = solve_envelope(EnvelopeCoeffs(*f), TOL)
     assert match_root_sets(rs.roots, [math.pi / 2, 2.5031916288, 3.5889535156], tol=1e-9)
-    assert match_root_sets(rs.simple_roots, dense_grid_roots(envelope_fn(*f)), tol=1e-6)
+    assert match_root_sets(simple_roots(rs), dense_grid_roots(envelope_fn(*f)), tol=1e-6)
 
 
 def test_envelope_double_root_at_domain_edge():
