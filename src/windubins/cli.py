@@ -19,7 +19,6 @@ import functools
 import math
 import random
 import sys
-from dataclasses import replace
 
 from .families import MIRROR_VARIANT, Variant
 from .geometry import Scenario, ToleranceSet, WindVector
@@ -106,7 +105,7 @@ def _tolerances(args: argparse.Namespace) -> ToleranceSet:
         kw["feas_tol"] = args.feas_tol
     if args.residual_tol is not None:
         kw["residual_tol"] = args.residual_tol
-    return replace(ToleranceSet(), **kw) if kw else ToleranceSet()
+    return ToleranceSet(**kw)
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
@@ -215,11 +214,14 @@ def _parse_batch(path: str) -> list[tuple[int, Scenario]]:
 
 
 def _run_batch(args: argparse.Namespace) -> int:
+    """Exit status: 1 when a line's output failed, else 2 when a line has no
+    feasible candidate, else 0.  Either kind of line marks only its own
+    block; every other line's block is still written."""
     chunks = []
-    any_infeasible = False
+    status = 0
     for number, s in _parse_batch(args.path):
         if args.feas_tol is not None or args.residual_tol is not None:
-            s = replace(s, tol=_tolerances(args))
+            s = s._replace(tol=_tolerances(args))
         header = (
             f"# scenario {number}: wind={s.wind.wx:g},{s.wind.wy:g}"
             f" target={s.target_x:g},{s.target_y:g}"
@@ -227,15 +229,17 @@ def _run_batch(args: argparse.Namespace) -> int:
         )
         result = plan(s)
         if not result.feasible:
-            any_infeasible = True
+            status = status or 2
             chunks.append(header + "# no feasible candidate\n")
             continue
         try:
             chunks.append(header + _emit(result, s, args))
         except _CliError as exc:
-            raise _CliError(f"argument FILE: line {number}: {exc}") from None
+            print(f"error: argument FILE: line {number}: {exc}", file=sys.stderr)
+            status = 1
+            chunks.append(header + f"# error: {exc}\n")
     _write(args, "\n".join(chunks))
-    return 2 if any_infeasible else 0
+    return status
 
 
 def _write(args: argparse.Namespace, text: str) -> None:

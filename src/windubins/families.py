@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 from .geometry import (
@@ -534,7 +533,7 @@ def solve_all(scenario: Scenario) -> list[PathCandidate]:
     rho = scenario.rho
     if rho != 1.0:
         x, y = scenario.target
-        scenario = replace(scenario, target_x=x / rho, target_y=y / rho, rho=1.0)
+        scenario = scenario._replace(target_x=x / rho, target_y=y / rho, rho=1.0)
     out = solve_sc(scenario) + solve_cc(scenario) + solve_ccc(scenario) + solve_csc(scenario)
     if rho == 1.0:
         return out

@@ -16,7 +16,7 @@ immutable once constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -41,37 +41,41 @@ def ang_dist(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-@dataclass(frozen=True)
-class RelativeState:
+class _Record:
+    """Base of the tuple-backed records, each a namedtuple subclass.  A record
+    checks its fields in ``__new__``; namedtuple's own ``_make``, and
+    ``_replace`` through it, would skip that check."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+class RelativeState(_Record, namedtuple("RelativeState", "x y theta")):
     """Planar pose in the air-relative frame; heading normalized to [0, 2*pi)."""
 
-    x: float
-    y: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", mod2pi(self.theta))
+    def __new__(cls, x: float, y: float, theta: float):
+        return tuple.__new__(cls, (x, y, mod2pi(theta)))
 
 
-@dataclass(frozen=True)
-class WindVector:
+class WindVector(_Record, namedtuple("WindVector", "wx wy")):
     """Steady wind, normalized by vehicle airspeed.  Must satisfy |w| < 1."""
 
-    wx: float
-    wy: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.wx * self.wx + self.wy * self.wy < 1.0):
+    def __new__(cls, wx: float, wy: float):
+        if not (wx * wx + wy * wy < 1.0):
             raise ValueError(
-                f"wind speed must be < 1 vehicle speed, got |w|={self.speed():.6g}"
+                f"wind speed must be < 1 vehicle speed, got |w|={math.hypot(wx, wy):.6g}"
             )
+        return tuple.__new__(cls, (wx, wy))
 
     def speed(self) -> float:
         return math.hypot(self.wx, self.wy)
 
 
-@dataclass(frozen=True)
-class ToleranceSet:
+class ToleranceSet(_Record, namedtuple("ToleranceSet", "feas_tol residual_tol zero_angle_eps")):
     """Numerical tolerances used throughout the planner.
 
     Lengths are in turn radii, so a scenario and its copy with goal and rho
@@ -85,14 +89,16 @@ class ToleranceSet:
     zero_angle_eps  arc radians below this are treated as degenerate
     """
 
-    feas_tol: float = 1e-6
-    residual_tol: float = 1e-6
-    zero_angle_eps: float = 1e-8
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("feas_tol", "residual_tol", "zero_angle_eps"):
-            if not 0.0 < getattr(self, name) < math.inf:
+    def __new__(
+        cls, feas_tol: float = 1e-6, residual_tol: float = 1e-6, zero_angle_eps: float = 1e-8
+    ):
+        values = (feas_tol, residual_tol, zero_angle_eps)
+        for name, value in zip(cls._fields, values):
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
+        return tuple.__new__(cls, values)
 
     def accepts(self, total: float, residual: float, heading_error: float, rho: float) -> bool:
         """The acceptance check of a candidate of total time ``total`` whose
@@ -105,21 +111,20 @@ class ToleranceSet:
         )
 
 
-@dataclass(frozen=True)
-class ControlSchedule:
+class ControlSchedule(_Record, namedtuple("ControlSchedule", "pieces")):
     """Piecewise-constant control: ordered (u, duration) pieces, u in {-1, 0, +1}."""
 
-    pieces: tuple[tuple[int, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, pieces: tuple[tuple[int, float], ...]):
         clean = []
-        for u, dur in self.pieces:
+        for u, dur in pieces:
             if u not in (-1, 0, 1):
                 raise ValueError(f"control value must be -1, 0 or +1, got {u}")
             if not (dur >= 0.0 and math.isfinite(dur)):
                 raise ValueError(f"piece duration must be finite and >= 0, got {dur}")
             clean.append((int(u), float(dur)))
-        object.__setattr__(self, "pieces", tuple(clean))
+        return tuple.__new__(cls, (tuple(clean),))
 
     @property
     def total_duration(self) -> float:
@@ -127,10 +132,12 @@ class ControlSchedule:
 
 
 DEFAULT_START = (0.0, 0.0, HALF_PI)
+#: the tolerances of a scenario built without any; records are immutable, so
+#: every such scenario shares this one
+DEFAULT_TOLERANCES = ToleranceSet()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record, namedtuple("Scenario", "wind target_x target_y theta_f rho start tol")):
     """One planning problem: wind, inertial goal pose, turn radius, tolerances.
 
     ``start`` is the inertial start pose; the default matches the canonical
@@ -147,36 +154,39 @@ class Scenario:
     CCC constant term being m^2 + n^2, and would overflow near 1e154.)
     """
 
-    wind: WindVector
-    target_x: float
-    target_y: float
-    theta_f: float
-    rho: float
-    start: tuple[float, float, float] = DEFAULT_START
-    tol: ToleranceSet = field(default_factory=ToleranceSet)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise ValueError(f"rho must be a positive finite length, got {self.rho}")
-        sx, sy, sth = self.start
+    def __new__(
+        cls,
+        wind: WindVector,
+        target_x: float,
+        target_y: float,
+        theta_f: float,
+        rho: float,
+        start: tuple[float, float, float] = DEFAULT_START,
+        tol: ToleranceSet = DEFAULT_TOLERANCES,
+    ):
+        if not (rho > 0.0 and math.isfinite(rho)):
+            raise ValueError(f"rho must be a positive finite length, got {rho}")
+        sx, sy, sth = start
         for name, value in (
-            ("target_x", self.target_x),
-            ("target_y", self.target_y),
-            ("theta_f", self.theta_f),
+            ("target_x", target_x),
+            ("target_y", target_y),
+            ("theta_f", theta_f),
             ("start x", sx),
             ("start y", sy),
             ("start heading", sth),
         ):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        reach = math.hypot(self.target_x - sx, self.target_y - sy) / self.rho
+        reach = math.hypot(target_x - sx, target_y - sy) / rho
         if not reach <= MAX_GOAL_RANGE:
             raise ValueError(
                 f"goal is {reach:.3g} turn radii from the start;"
                 f" at most {MAX_GOAL_RANGE:g} are supported"
             )
-        object.__setattr__(self, "theta_f", mod2pi(self.theta_f))
-        object.__setattr__(self, "start", (float(sx), float(sy), mod2pi(sth)))
+        start = (float(sx), float(sy), mod2pi(sth))
+        return tuple.__new__(cls, (wind, target_x, target_y, mod2pi(theta_f), rho, start, tol))
 
     @property
     def target(self) -> tuple[float, float]:
@@ -187,8 +197,7 @@ class Scenario:
         return sx == 0.0 and sy == 0.0 and sth == HALF_PI
 
 
-@dataclass(frozen=True)
-class RigidTransform:
+class RigidTransform(_Record, namedtuple("RigidTransform", "angle origin")):
     """Rotation by ``angle`` about the origin after translating ``origin`` to it.
 
     Maps original-frame data to the normalized frame via ``to_local``:
@@ -197,8 +206,7 @@ class RigidTransform:
     a planned path back (see ``planner.sample``).
     """
 
-    angle: float
-    origin: tuple[float, float]
+    __slots__ = ()
 
     def to_local(self, x: float, y: float) -> tuple[float, float]:
         dx, dy = x - self.origin[0], y - self.origin[1]

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .families import Family, PathCandidate, solve_all
 from .geometry import (
     RelativeState,
     Scenario,
+    _Record,
     ang_dist,
     integrate,
     mod2pi,
@@ -32,30 +33,28 @@ MAX_SAMPLE_ROWS = 10**6
 _START = RelativeState(0.0, 0.0, math.pi / 2)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(
+    _Record,
+    namedtuple("ValidationReport", "position_error heading_error interception_error feasible"),
+):
     """Residuals of one candidate against its scenario's terminal conditions."""
 
-    position_error: float
-    heading_error: float
-    interception_error: float
-    feasible: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(
+    _Record, namedtuple("PlanResult", "best all_candidates t_f per_family_times wall_time")
+):
     """Outcome of one planning call.
 
-    ``best`` is None (and ``t_f`` infinite) when no feasible candidate exists.
-    ``per_family_times`` maps every family to its fastest candidate time, with
-    +inf marking families that produced nothing.
+    ``best`` (a ``PathCandidate``) is None, and ``t_f`` infinite, when no
+    feasible candidate exists.  ``all_candidates`` holds every feasible
+    candidate, fastest first.  ``per_family_times`` maps every ``Family`` to
+    its fastest candidate time, with +inf marking families that produced
+    nothing.
     """
 
-    best: PathCandidate | None
-    all_candidates: tuple[PathCandidate, ...]
-    t_f: float
-    per_family_times: dict[Family, float]
-    wall_time: float
+    __slots__ = ()
 
     @property
     def feasible(self) -> bool:

@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
-from .geometry import TWO_PI, ToleranceSet, mod2pi
+from .geometry import TWO_PI, ToleranceSet, _Record, mod2pi
 
 _MERGE_EPS = 1e-11
 #: merge window of a tangential detection (see ``_root_set``)
@@ -64,11 +63,9 @@ def _finite(cls, values: tuple[float, ...]):
     return tuple.__new__(cls, values)
 
 
-class _Coeffs:
+class _Coeffs(_Record):
     """The ``scale`` of the coefficient records: 1 + the sum of |coefficient|."""
     __slots__ = ()
-    # namedtuple's own _make, and _replace through it, would skip the check
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def scale(self) -> float:
@@ -99,13 +96,12 @@ class EnvelopeCoeffs(_Coeffs, namedtuple("EnvelopeCoeffs", "f1 f2 f3 f4 f5")):
         return _finite(cls, (f1, f2, f3, f4, f5))
 
 
-@dataclass(frozen=True, slots=True)
-class RootSet:
+class RootSet(_Record, namedtuple("RootSet", "roots tangential")):
     """Isolated roots on [0, 2*pi), sorted ascending; ``tangential[i]`` marks a
-    grazing root, found where |G| is small rather than by a sign change."""
+    grazing root, found where |G| is small rather than by a sign change.
+    ``len`` counts the roots, not the two fields."""
 
-    roots: tuple[float, ...]
-    tangential: tuple[bool, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.roots)

@@ -1,9 +1,11 @@
 import math
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import windubins
 from windubins.cli import CSV_HEADER, run
 from windubins.geometry import mod2pi
 
@@ -219,13 +221,43 @@ def test_plan_rejects_bad_step_or_tolerance(capsys, flag, value):
 
 def test_batch_csv_row_ceiling(tmp_path, capsys):
     # At rho = 1e200 the path lasts about 5e200, so the default step would
-    # ask for about 5e201 rows; the line is rejected before any row is made.
+    # ask for about 5e201 rows; the line is rejected before any row is made,
+    # and its block holds the error in place of rows.
     path = tmp_path / "scenarios.txt"
     path.write_text("0.1 0.2 0.5 1 10 1e200\n")
     status, out, err = run_cli(capsys, "batch", str(path), "--output", "csv")
     assert status == 1
-    assert out == ""
     assert err.startswith("error: argument FILE: line 1: ") and err.count("\n") == 1
+    message = err[len("error: argument FILE: line 1: "):]
+    assert "at most 1000000 are supported" in message
+    assert out.startswith("# scenario 1: ") and out.endswith(f"\n# error: {message}")
+    assert CSV_HEADER not in out
+
+
+@pytest.mark.parametrize("output", ["csv", "both"])
+def test_batch_csv_row_ceiling_keeps_other_lines(tmp_path, capsys, output):
+    # A line over the row ceiling marks only its own block, the way an
+    # infeasible line does; every other line's block is still written.
+    path = tmp_path / "scenarios.txt"
+    argv = ("batch", str(path), "--output", output, "--sample-dt", "1")
+    path.write_text("0 0 0 10 90 1\n")
+    status, first, _ = run_cli(capsys, *argv)
+    assert status == 0 and first.count(CSV_HEADER) == 1
+    path.write_text("0 0 0 10 90 1\n0.1 0.2 0.5 1 10 1e200\n")
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1
+    prefix = "error: argument FILE: line 2: "
+    assert err.startswith(prefix + "sample step 1 gives ") and err.count("\n") == 1
+    block1, block2 = out.split("\n\n")
+    assert block1 + "\n" == first
+    assert block2.startswith("# scenario 2: ")
+    assert block2.endswith("\n# error: " + err[len(prefix):])
+    # the exit code 1 of the error outranks the 2 of an infeasible line
+    path.write_text("0 0 0 10 90 1\n0.1 0.2 0.5 1 10 1e200\n0.1 0.2 0.5 1 10 1.7e308\n")
+    status, out3, err3 = run_cli(capsys, *argv)
+    assert status == 1 and err3 == err
+    assert out3.startswith(out + "\n# scenario 3: ")
+    assert out3.endswith("\n# no feasible candidate\n")
 
 
 def test_batch_huge_turn_radius(tmp_path, capsys):
@@ -272,6 +304,21 @@ def test_selftest_passes(capsys):
     assert status == 0
     assert "FAIL" not in out
     assert out.count("ok:") >= 4
+
+
+def test_import_skips_dataclasses_and_inspect():
+    # Cold start: importing the package and its CLI must not pull in
+    # dataclasses, whose import loads inspect, ast, dis and tokenize.
+    src = str(pathlib.Path(windubins.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import windubins, windubins.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_entry_point_subprocess():

@@ -38,6 +38,10 @@ def test_mod2pi_range_and_boundaries():
 def test_relative_state_wraps_theta():
     s = RelativeState(1.0, 2.0, 3.0 * math.pi)
     assert abs(s.theta - math.pi) < 1e-15
+    # every constructor path wraps: _make, and _replace through it
+    assert RelativeState._make((1.0, 2.0, -HALF_PI)).theta == 1.5 * math.pi
+    assert s._replace(theta=TWO_PI + 1.0).theta == pytest.approx(1.0, abs=1e-15)
+    assert s._replace(x=5.0) == (5.0, 2.0, s.theta)
 
 
 def test_wind_vector_rejects_fast_wind():
@@ -45,14 +49,24 @@ def test_wind_vector_rejects_fast_wind():
         WindVector(1.0, 0.0)
     with pytest.raises(ValueError):
         WindVector(0.8, 0.7)
-    WindVector(0.999, 0.0)  # strict inequality: this is fine
+    w = WindVector(0.999, 0.0)  # strict inequality: this is fine
+    with pytest.raises(ValueError, match="wind speed must be < 1"):
+        w._replace(wy=0.1)
+    with pytest.raises(ValueError, match="wind speed must be < 1"):
+        WindVector._make((0.0, -1.0))
 
 
 def test_tolerances_positive():
+    default = ToleranceSet()
     for name in ("feas_tol", "residual_tol", "zero_angle_eps"):
         for value in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
                 ToleranceSet(**{name: value})
+            with pytest.raises(ValueError, match=name):
+                default._replace(**{name: value})
+            with pytest.raises(ValueError, match=name):
+                ToleranceSet._make(value if f == name else 1e-6 for f in ToleranceSet._fields)
+    assert default._replace(feas_tol=1e-3) == (1e-3, 1e-6, 1e-8)
 
 
 def test_scenario_rejects_bad_rho():
@@ -60,6 +74,43 @@ def test_scenario_rejects_bad_rho():
         Scenario(wind=WindVector(0, 0), target_x=1, target_y=0, theta_f=0, rho=0.0)
     with pytest.raises(ValueError):
         Scenario(wind=WindVector(0, 0), target_x=1, target_y=0, theta_f=0, rho=-2.0)
+    scenario = Scenario(wind=WindVector(0, 0), target_x=1, target_y=0, theta_f=0, rho=1.0)
+    with pytest.raises(ValueError, match="rho must be a positive finite length"):
+        scenario._replace(rho=-1.0)
+    with pytest.raises(ValueError, match="rho must be a positive finite length"):
+        Scenario._make(scenario[:4] + (math.inf,) + scenario[5:])
+
+
+def test_scenario_replace_and_make_clean_like_the_constructor():
+    scenario = Scenario(wind=WindVector(0.1, 0), target_x=1, target_y=0, theta_f=0, rho=1.0)
+    assert scenario.tol is Scenario(WindVector(0, 0), 2.0, 0.0, 1.0, 1.0).tol  # one shared default
+    moved = scenario._replace(theta_f=-HALF_PI, start=(1, 2, 5.0 * math.pi))
+    assert moved.theta_f == 1.5 * math.pi
+    assert moved.start == (1.0, 2.0, pytest.approx(math.pi, abs=1e-15))
+    assert type(moved.start[0]) is float
+    assert Scenario._make(moved) == moved
+    with pytest.raises(ValueError, match="turn radii"):
+        scenario._replace(target_x=2e6)
+    with pytest.raises(ValueError, match="theta_f must be finite"):
+        scenario._replace(theta_f=math.nan)
+
+
+def test_records_are_immutable():
+    scenario = Scenario(wind=WindVector(0, 0), target_x=1, target_y=0, theta_f=0, rho=1.0)
+    tf = normalize(scenario._replace(start=(1.0, 1.0, 0.0)))[1]
+    records = [
+        (RelativeState(0.0, 0.0, 0.0), "theta"),
+        (WindVector(0.1, 0.2), "wx"),
+        (ToleranceSet(), "feas_tol"),
+        (ControlSchedule(((0, 1.0),)), "pieces"),
+        (scenario, "rho"),
+        (tf, "angle"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0  # no instance dict either
 
 
 @pytest.mark.parametrize(
@@ -89,6 +140,12 @@ def test_control_schedule_validation():
     with pytest.raises(ValueError):
         ControlSchedule(((1, -0.5),))
     sched = ControlSchedule(((0, 1.0), (1, 2.0), (-1, 0.5)))
+    with pytest.raises(ValueError, match="control value must be -1, 0 or \\+1, got 2"):
+        sched._replace(pieces=((2, 1.0),))
+    with pytest.raises(ValueError, match="piece duration must be finite and >= 0, got inf"):
+        ControlSchedule._make([((1, math.inf),)])
+    assert ControlSchedule._make([[(True, 1)]]).pieces == ((1, 1.0),)  # cleaned on every path
+    assert type(sched._replace(pieces=[(-1.0, 2)]).pieces[0][0]) is int
     assert sched.total_duration == pytest.approx(3.5, abs=0)
     rows = state_at(START, sched, 1.0, [0.5, 1.0, 3.0, 3.5, 4.0])
     assert [r[3] for r in rows] == [0, 1, -1, -1, -1]  # a boundary takes the next control

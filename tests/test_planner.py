@@ -102,6 +102,16 @@ def test_validate_solver_candidates(case1):
         assert report.interception_error < 1e-9
 
 
+def test_plan_records_are_immutable(case1):
+    result = plan(case1)
+    report = validate(result.best, case1)
+    for record, name in ((result, "t_f"), (report, "feasible")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert type(record)._make(record) == record
+    assert result._replace(best=None).feasible is False
+
+
 def test_validate_flags_corrupted_straight_leg(case1):
     result = plan(case1)
     best = result.best

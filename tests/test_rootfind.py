@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from windubins import (
     EnvelopeCoeffs,
     QuadCosCoeffs,
+    RootSet,
     SinusoidCoeffs,
     ToleranceSet,
     solve_envelope,
@@ -62,6 +63,12 @@ def test_coefficient_records_check_every_constructor():
         q._replace(c1=math.nan)
     with pytest.raises(ValueError):
         SinusoidCoeffs._make([0.0, math.inf, 0.0])
+    # RootSet checks nothing, but its len() counts roots, not its two fields
+    rs = RootSet._make(((1.0, 2.0, 3.0), (False, True, False)))
+    assert len(rs) == 3 and len(rs._replace(roots=(), tangential=())) == 0
+    assert rs._replace(tangential=(False,) * 3).tangential == (False, False, False)
+    with pytest.raises(AttributeError):
+        rs.roots = ()
 
 
 def test_quadcos_matches_grid_oracle():
