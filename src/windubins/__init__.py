@@ -21,7 +21,6 @@ from .families import (
 from .geometry import (
     ControlSchedule,
     RelativeState,
-    RigidTransform,
     Scenario,
     ToleranceSet,
     WindVector,
@@ -59,7 +58,6 @@ __all__ = [
     "PlanResult",
     "QuadCosCoeffs",
     "RelativeState",
-    "RigidTransform",
     "RootSet",
     "Scenario",
     "SegmentParams",

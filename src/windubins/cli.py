@@ -185,7 +185,7 @@ def _parse_batch(path: str) -> list[tuple[int, Scenario]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"argument FILE: cannot read {path!r}: {exc}") from None
     out = []
     for i, line in enumerate(raw, start=1):
@@ -244,8 +244,11 @@ def _run_batch(args: argparse.Namespace) -> int:
 
 def _write(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"argument --out: cannot write {args.out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 

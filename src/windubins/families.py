@@ -19,6 +19,23 @@ reconstructs the segment parameters for every root, and keeps only
 candidates whose forward-integrated endpoint actually meets the moving
 target.  Integration is the final arbiter for every emitted candidate.
 
+``_finish`` is the only test of the endpoint: it integrates the schedule and
+applies ``ToleranceSet.accepts`` to the position and heading misses, as
+``planner.validate`` does.  Before it, a solver drops a root only to pick a
+root or a wrap branch, or to keep the schedule valid:
+
+* SC: the final heading must be pi/2, and the straight length not negative;
+* CC: the first arc must lie in [0, 2*pi); in zero wind, the goal must sit
+  on the first circle, which gives the one root;
+* CCC: the middle arc must not be degenerate, the total time must be
+  positive, and the wrapped arc sum must match the branch;
+* CSC: the last arc must lie in the root's own wrap branch, and the straight
+  length must not be negative.
+
+None of them tests the endpoint again: a second test with a tolerance of its
+own could only reject a path that ``_finish`` accepts, and then residual_tol
+would no longer be the one bound on the miss.
+
 Derivation conventions used throughout (unit speed, unit radius, first arc
 from the origin):
 
@@ -41,6 +58,7 @@ import math
 from typing import NamedTuple
 
 from .geometry import (
+    DEFAULT_START,
     HALF_PI,
     TWO_PI,
     ZERO_WIND_EPS,
@@ -143,7 +161,15 @@ class PathCandidate(NamedTuple):
     residual: float
 
 
-_START = RelativeState(0.0, 0.0, HALF_PI)
+def _misses(
+    scenario: Scenario, schedule: ControlSchedule, total: float, rho: float
+) -> tuple[RelativeState, float, float]:
+    """End pose of a schedule flown from the canonical start at turn radius
+    rho, its distance from the moving target at time ``total``, and its
+    heading error against the goal heading."""
+    end = integrate(DEFAULT_START, schedule, rho)
+    tx, ty = target_relative(scenario, total)
+    return end, math.hypot(end.x - tx, end.y - ty), ang_dist(end.theta, scenario.theta_f)
 
 
 def _finish(
@@ -155,10 +181,8 @@ def _finish(
     """Forward-integrate and accept the candidate only if it meets the moving
     target in position and heading at its own total time."""
     total = schedule.total_duration
-    end = integrate(_START, schedule, 1.0)
-    tx, ty = target_relative(scenario, total)
-    residual = math.hypot(end.x - tx, end.y - ty)
-    if not scenario.tol.accepts(total, residual, ang_dist(end.theta, scenario.theta_f), 1.0):
+    _, residual, heading_error = _misses(scenario, schedule, total, 1.0)
+    if not scenario.tol.accepts(total, residual, heading_error, 1.0):
         return None
     return PathCandidate(variant, params, total, schedule, residual)
 
@@ -173,10 +197,9 @@ def solve_sc(scenario: Scenario) -> list[PathCandidate]:
 
     Exists only for final heading pi/2: the path goes straight up some length
     d and then flies one full circle back to the same pose.  d follows in
-    closed form from the interception identity; the remaining requirement is
-    that the target's relative track actually passes through (0, d) at the
-    right time, which is checked as a whole instead of through separate
-    colinearity equalities.
+    closed form from the interception identity; whether the target's
+    relative track actually passes through (0, d) at that time is left to
+    ``_finish``.
     """
     tol = scenario.tol
     if ang_dist(scenario.theta_f, HALF_PI) > tol.feas_tol:
@@ -186,10 +209,6 @@ def solve_sc(scenario: Scenario) -> list[PathCandidate]:
     if d < -tol.feas_tol:
         return []
     d = max(d, 0.0)
-    total = d + TWO_PI
-    tx, ty = target_relative(scenario, total)
-    if math.hypot(tx, ty - d) > tol.feas_tol * (1.0 + total):
-        return []
     out = []
     for variant in (Variant.SR2PI, Variant.SL2PI):
         schedule = ControlSchedule(((0, d), (variant.sigma, TWO_PI)))
@@ -208,8 +227,8 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
 
     The endpoint lies on the first-arc circle, so the interception identity
     squares into a quadratic in the first-arc radian.  Every real root in
-    range is kept if it also satisfies the heading relation and lands on the
-    moving target; the global minimum is taken later by the planner.
+    range goes to ``_finish``, which checks the heading and the endpoint; the
+    global minimum is taken later by the planner.
     """
     tol = scenario.tol
     wx, wy = scenario.wind.wx, scenario.wind.wy
@@ -219,10 +238,11 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
     for variant in (Variant.RL2PI, Variant.LR2PI):
         sigma = variant.sigma
         cx = -sigma  # first-circle centre (cx, 0)
-        alpha_head = mod2pi(sigma * (scenario.theta_f - HALF_PI))
         # Circle condition (X - cx - T*wx)^2 + (Y - T*wy)^2 = 1, T = a + 2*pi.
         if ww < ZERO_WIND_EPS * ZERO_WIND_EPS:
+            # A still goal on the circle is reached at the heading's arc.
             on_circle = (X - cx) ** 2 + Y * Y - 1.0
+            alpha_head = mod2pi(sigma * (scenario.theta_f - HALF_PI))
             roots = [alpha_head] if abs(on_circle) <= tol.feas_tol * (1.0 + X * X + Y * Y) else []
         else:
             proj = (X - cx) * wx + Y * wy
@@ -233,13 +253,6 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
             if not (-tol.feas_tol <= alpha < TWO_PI):
                 continue
             alpha = max(alpha, 0.0)
-            if ang_dist(alpha, alpha_head) > tol.feas_tol:
-                continue
-            total = alpha + TWO_PI
-            tx, ty = target_relative(scenario, total)
-            ex, ey = cx + sigma * math.cos(alpha), math.sin(alpha)
-            if math.hypot(ex - tx, ey - ty) > tol.feas_tol * (1.0 + total):
-                continue
             schedule = ControlSchedule(((sigma, alpha), (-sigma, TWO_PI)))
             cand = _finish(scenario, variant, SegmentParams(alpha=alpha), schedule)
             if cand is not None:
@@ -390,9 +403,9 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
 
     Each root fixes the straight heading; the arcs follow by bookkeeping and
     the straight length from the displacement balance against the moving
-    target, solved against the better-conditioned component and cross-checked
-    against the other.  Negative lengths and balance mismatches are dropped,
-    and the survivors are integrated and validated.
+    target, solved against its better-conditioned component; ``_finish``
+    checks the whole endpoint.  Roots of another wrap branch and negative
+    lengths are dropped, and the survivors are integrated and validated.
     """
     tol = scenario.tol
     th_f = scenario.theta_f
@@ -480,8 +493,6 @@ def _csc_from_beta(
     if d < -tol.feas_tol * (1.0 + arc_time):
         return None
     d = max(d, 0.0)
-    if math.hypot(rx - d * dx, ry - d * dy) > tol.feas_tol * (1.0 + arc_time + d):
-        return None
     schedule = ControlSchedule(((sigma, alpha), (0, d), (kappa, gamma)))
     params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma, d=d)
     return _finish(scenario, variant, params, schedule)
@@ -491,8 +502,6 @@ def _csc_degenerate(scenario: Scenario, variant: Variant, arc_sum: float) -> Pat
     """Balance identically zero for an RSR/LSL branch: d = 0 is forced and the
     split of the single-direction arc is arbitrary; emit an even split."""
     alpha = gamma = 0.5 * arc_sum
-    if not (0.0 <= alpha < TWO_PI):
-        return None
     beta = mod2pi(HALF_PI + variant.sigma * alpha)
     schedule = ControlSchedule(((variant.sigma, alpha), (0, 0.0), (variant.kappa, gamma)))
     params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma)

@@ -81,11 +81,13 @@ class ToleranceSet(_Record, namedtuple("ToleranceSet", "feas_tol residual_tol ze
     Lengths are in turn radii, so a scenario and its copy with goal and rho
     multiplied by one factor accept the same candidates.
 
-    feas_tol        slack on the measure-zero feasibility equalities of the
-                    families (they almost never hold exactly in floats), in
+    feas_tol        bound on the heading error of a candidate, and slack on
+                    the measure-zero equalities the families test at root
+                    level (they almost never hold exactly in floats), in
                     turn radii for lengths and in radians for headings
-    residual_tol    a candidate of total time t may miss the moving target
-                    by at most residual_tol*(rho + t); see ``accepts``
+    residual_tol    the one bound on the endpoint miss, in every family: a
+                    candidate of total time t may miss the moving target by
+                    at most residual_tol*(rho + t); see ``accepts``
     zero_angle_eps  arc radians below this are treated as degenerate
     """
 
@@ -131,7 +133,8 @@ class ControlSchedule(_Record, namedtuple("ControlSchedule", "pieces")):
         return math.fsum(dur for _, dur in self.pieces)
 
 
-DEFAULT_START = (0.0, 0.0, HALF_PI)
+#: the canonical start pose: the frame the planning formulas work in
+DEFAULT_START = RelativeState(0.0, 0.0, HALF_PI)
 #: the tolerances of a scenario built without any; records are immutable, so
 #: every such scenario shares this one
 DEFAULT_TOLERANCES = ToleranceSet()
@@ -192,63 +195,31 @@ class Scenario(_Record, namedtuple("Scenario", "wind target_x target_y theta_f r
     def target(self) -> tuple[float, float]:
         return (self.target_x, self.target_y)
 
-    def is_normalized(self) -> bool:
-        sx, sy, sth = self.start
-        return sx == 0.0 and sy == 0.0 and sth == HALF_PI
 
-
-class RigidTransform(_Record, namedtuple("RigidTransform", "angle origin")):
-    """Rotation by ``angle`` about the origin after translating ``origin`` to it.
-
-    Maps original-frame data to the normalized frame via ``to_local``:
-    points translate and rotate, free vectors (wind) only rotate.  The
-    inverse, rotation by -``angle`` and then translation by ``origin``, maps
-    a planned path back (see ``planner.sample``).
-    """
-
-    __slots__ = ()
-
-    def to_local(self, x: float, y: float) -> tuple[float, float]:
-        dx, dy = x - self.origin[0], y - self.origin[1]
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return (c * dx - s * dy, s * dx + c * dy)
-
-    def vec_to_local(self, x: float, y: float) -> tuple[float, float]:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return (c * x - s * y, s * x + c * y)
-
-    def angle_to_local(self, theta: float) -> float:
-        return mod2pi(theta + self.angle)
-
-
-IDENTITY_TRANSFORM = RigidTransform(0.0, (0.0, 0.0))
-
-
-def normalize(scenario: Scenario) -> tuple[Scenario, RigidTransform]:
+def normalize(scenario: Scenario) -> Scenario:
     """Re-express a scenario so the start pose is exactly (0, 0, pi/2).
 
-    Returns the normalized scenario and the rigid transform that maps
-    original-frame data into the normalized frame.  Wind rotates with the
-    frame; the target translates and rotates.  Mapping a planned path back
-    through the inverse transform reproduces a solution of the original
-    scenario.
+    The frame turns by pi/2 minus the start heading about the start point:
+    the target translates and rotates, the wind (a free vector) only rotates.
+    ``planner.sample`` maps a planned path back with the inverse map, read
+    from the original scenario's start.
     """
+    if scenario.start == DEFAULT_START:
+        return scenario
     sx, sy, sth = scenario.start
-    if scenario.is_normalized():
-        return scenario, IDENTITY_TRANSFORM
-    tf = RigidTransform(HALF_PI - sth, (sx, sy))
-    wx, wy = tf.vec_to_local(scenario.wind.wx, scenario.wind.wy)
-    tx, ty = tf.to_local(scenario.target_x, scenario.target_y)
-    norm = Scenario(
-        wind=WindVector(wx, wy),
-        target_x=tx,
-        target_y=ty,
-        theta_f=tf.angle_to_local(scenario.theta_f),
+    angle = HALF_PI - sth
+    c, s = math.cos(angle), math.sin(angle)
+    wx, wy = scenario.wind
+    dx, dy = scenario.target_x - sx, scenario.target_y - sy
+    return Scenario(
+        wind=WindVector(c * wx - s * wy, s * wx + c * wy),
+        target_x=c * dx - s * dy,
+        target_y=s * dx + c * dy,
+        theta_f=mod2pi(scenario.theta_f + angle),
         rho=scenario.rho,
         start=DEFAULT_START,
         tol=scenario.tol,
     )
-    return norm, tf
 
 
 def propagate(

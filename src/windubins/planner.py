@@ -14,23 +14,12 @@ import time
 from collections import namedtuple
 from typing import NamedTuple
 
-from .families import Family, PathCandidate, solve_all
-from .geometry import (
-    RelativeState,
-    Scenario,
-    _Record,
-    ang_dist,
-    integrate,
-    mod2pi,
-    normalize,
-    state_at,
-    target_relative,
-)
+from .families import Family, PathCandidate, _misses, solve_all
+from .geometry import DEFAULT_START, HALF_PI, Scenario, _Record, mod2pi, normalize, state_at
 
 _TIE_EPS = 1e-12
 #: Row ceiling of ``sample``: a step that would give more rows is rejected.
 MAX_SAMPLE_ROWS = 10**6
-_START = RelativeState(0.0, 0.0, math.pi / 2)
 
 
 class ValidationReport(
@@ -75,18 +64,15 @@ def validate(candidate: PathCandidate, scenario: Scenario) -> ValidationReport:
     """Forward-integrate a candidate exactly and report its terminal residuals.
 
     Position is compared against the moving target at the candidate's total
-    time, and accepted by the same check as the family solvers use.  The
-    interception identity (travel time equals the target's arrival time at the
-    endpoint) is reported separately, degenerating to the position residual
-    for zero wind; it needs no check of its own, because by the triangle
-    inequality it never exceeds the position residual.
+    time; the misses and their acceptance are those of ``families._finish``.
+    The interception identity (travel time equals the target's arrival time
+    at the endpoint) is reported separately, degenerating to the position
+    residual for zero wind; it needs no check of its own, because by the
+    triangle inequality it never exceeds the position residual.
     """
-    norm, _ = normalize(scenario)
+    norm = normalize(scenario)
     total = candidate.total_time
-    end = integrate(_START, candidate.schedule, norm.rho)
-    tx, ty = target_relative(norm, total)
-    pos_err = math.hypot(end.x - tx, end.y - ty)
-    head_err = ang_dist(end.theta, norm.theta_f)
+    end, pos_err, head_err = _misses(norm, candidate.schedule, total, norm.rho)
     w = norm.wind.speed()
     if w > 0.0:
         dist = math.hypot(end.x - norm.target_x, end.y - norm.target_y)
@@ -104,7 +90,7 @@ def plan(scenario: Scenario) -> PlanResult:
     ValueError at Scenario construction.
     """
     t0 = time.perf_counter()
-    norm, _ = normalize(scenario)
+    norm = normalize(scenario)
     candidates = solve_all(norm)
     tie = _TIE_EPS * norm.rho
     ordered = tuple(
@@ -113,8 +99,6 @@ def plan(scenario: Scenario) -> PlanResult:
     best = None
     for cand in ordered:
         if best is None:
-            best = cand
-        elif cand.total_time < best.total_time - tie:
             best = cand
         elif abs(cand.total_time - best.total_time) <= tie and cand.variant.order < best.variant.order:
             best = cand
@@ -150,7 +134,6 @@ def sample(candidate: PathCandidate, dt: float, scenario: Scenario) -> list[Traj
             f"sample step {dt:g} gives {total / dt:.3g} rows over t_f={total:g};"
             f" at most {MAX_SAMPLE_ROWS} are supported"
         )
-    norm, transform = normalize(scenario)
     schedule = candidate.schedule
     times = [k * dt for k in range(int(total / dt) + 1)]
     switch, end = 0.0, schedule.total_duration
@@ -171,12 +154,14 @@ def sample(candidate: PathCandidate, dt: float, scenario: Scenario) -> list[Traj
         else:
             merged.append(total)
 
-    # Back to the caller's frame: rotate by -angle, then translate by origin.
-    angle, (ox, oy) = transform.angle, transform.origin
+    # Back to the caller's frame: undo ``normalize``, a turn by angle about
+    # the start point, by rotating by -angle and translating by the start.
+    ox, oy, sth = scenario.start
+    angle = HALF_PI - sth
     c, s = math.cos(angle), math.sin(angle)
     wx, wy = scenario.wind.wx, scenario.wind.wy
     rows = []
-    for t, (x, y, th, u) in zip(merged, state_at(_START, schedule, norm.rho, merged)):
+    for t, (x, y, th, u) in zip(merged, state_at(DEFAULT_START, schedule, scenario.rho, merged)):
         xw, yw = c * x + s * y + ox, -s * x + c * y + oy
         rows.append(TrajectoryPoint(t, xw, yw, mod2pi(th - angle), u, xw + t * wx, yw + t * wy))
     return rows

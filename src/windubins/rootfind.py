@@ -11,7 +11,8 @@ closed form, so that G is monotone between consecutive stationary points and
 each of those pieces holds at most one sign change (``_monotone_roots``).
 
 * quadcos: G'' = 2*c1 - c3*cos(b) has at most two roots (an arccosine), so G'
-  is monotone on at most three pieces and has at most one root on each.
+  is monotone on at most three pieces and has at most one root on each,
+  which ``_monotone_roots`` finds as it finds those of G.
 * envelope: G' = P*sin(b) + Q*cos(b) = R*sin(h) with P = f4 - f3 - f5*b,
   Q = f2 + f5 + f4*b, R = hypot(P, Q) and the phase h = b + phi, where phi
   is the polar angle of (P, Q).  That point moves along a straight line, so
@@ -183,8 +184,11 @@ def _refine(fused, lo: float, hi: float, flo: float) -> float:
     return lo if alo <= ahi else hi
 
 
-def _monotone_roots(g, g_fused, lo: float, hi: float, stationary, graze: float) -> RootSet:
-    """Roots of G on [lo, hi), given every stationary point of G there.
+def _monotone_roots(
+    g, g_fused, lo: float, hi: float, stationary, graze: float
+) -> list[tuple[float, bool]]:
+    """Roots of G on [lo, hi), given every stationary point of G there, as
+    (root, tangential) detections for ``_root_set``.
 
     G is monotone between consecutive points of {lo, hi} and ``stationary``,
     so each piece holds at most one sign change, found by a bracketed solve.
@@ -203,7 +207,7 @@ def _monotone_roots(g, g_fused, lo: float, hi: float, stationary, graze: float) 
     for p, gv in zip(pts, gvals):
         if p in stationary and abs(gv) <= graze:
             found.append((p, True))
-    return _root_set(found)
+    return found
 
 
 def _quadcos_rootless(coeffs: QuadCosCoeffs, lo: float, hi: float, slack: float) -> bool:
@@ -257,6 +261,9 @@ def solve_quadcos(
     def g_fused(b: float) -> tuple[float, float]:
         return (c1 * b + c2) * b + c3 * cos(b) + c4, two_c1 * b + c2 - c3 * sin(b)
 
+    def gp(b: float) -> float:
+        return two_c1 * b + c2 - c3 * sin(b)
+
     def gp_fused(b: float) -> tuple[float, float]:
         return two_c1 * b + c2 - c3 * sin(b), two_c1 - c3 * cos(b)
 
@@ -276,19 +283,10 @@ def solve_quadcos(
         r = -c4 / c2 if c2 != 0.0 else math.nan
         return _root_set([(r, False)] if lo <= r < hi else [])
 
-    knots = sorted({lo, hi, *inflections})
-
-    # Roots of G' on the monotone pieces.
-    stationary: list[float] = []
-    vals = [gp_fused(k)[0] for k in knots]
-    for i in range(len(knots) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            stationary.append(knots[i])
-        elif fa * fb < 0.0:
-            stationary.append(_refine(gp_fused, knots[i], knots[i + 1], fa))
-
-    return _monotone_roots(g, g_fused, lo, hi, stationary, graze)
+    # G' is monotone between the inflections; no graze, so every root of G'
+    # is one where it changes sign or is exactly zero.
+    stationary = [r for r, _ in _monotone_roots(gp, gp_fused, lo, hi, inflections, -1.0)]
+    return _root_set(_monotone_roots(g, g_fused, lo, hi, stationary, graze))
 
 
 def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet | None = None) -> RootSet:
@@ -361,7 +359,7 @@ def solve_envelope(
         )
 
     stationary = _envelope_stationary(coeffs, lo, hi)
-    return _monotone_roots(g, g_fused, lo, hi, stationary, graze)
+    return _root_set(_monotone_roots(g, g_fused, lo, hi, stationary, graze))
 
 
 def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[float]:

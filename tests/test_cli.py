@@ -299,6 +299,31 @@ def test_batch_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_batch_invalid_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 0 0 10 90 1\n\xff\xfe 1 2\n")
+    status, out, err = run_cli(capsys, "batch", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: argument FILE: cannot read ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["plan", "batch"])
+def test_out_into_missing_directory(tmp_path, capsys, mode):
+    batch = tmp_path / "one.txt"
+    batch.write_text("0 0 0 10 90 1\n")
+    argv = {"plan": ["plan", "--wind", "0,0", "--target", "0,10", "--theta-f-deg", "90",
+                     "--rho", "1"], "batch": ["batch", str(batch)]}[mode]
+    target = tmp_path / "missing" / "out.txt"
+    status, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: argument --out: cannot write ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_selftest_passes(capsys):
     status, out, _ = run_cli(capsys, "selftest")
     assert status == 0

@@ -16,6 +16,7 @@ from windubins import (
     solve_csc,
     solve_sc,
     target_relative,
+    ToleranceSet,
 )
 from windubins.families import MIRROR_VARIANT, Family, _ccc_coeffs, _csc_root_coeffs
 from windubins.geometry import HALF_PI, TWO_PI, ang_dist
@@ -86,6 +87,19 @@ def test_sc_rejects_off_track_target():
     sc = Scenario(wind=WindVector(0.3, -0.2), target_x=4.0, target_y=1.0,
                   theta_f=HALF_PI, rho=1.0)
     assert solve_sc(sc) == []
+
+
+def test_residual_tol_alone_bounds_the_endpoint_miss():
+    # A target 1e-4 off the SC track and no cross wind, so the path misses
+    # it by 1e-4: residual_tol = 1e-3 accepts the miss and the default
+    # rejects it, with no second bound in the family.
+    sc = Scenario(wind=WindVector(0.0, -0.2), target_x=1e-4, target_y=1.0,
+                  theta_f=HALF_PI, rho=1.0)
+    assert solve_sc(sc) == []
+    cands = solve_sc(sc._replace(tol=ToleranceSet(residual_tol=1e-3)))
+    assert [c.variant for c in cands] == [Variant.SR2PI, Variant.SL2PI]
+    for c in cands:
+        assert c.residual == pytest.approx(1e-4, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
