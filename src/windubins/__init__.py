@@ -27,7 +27,6 @@ from .geometry import (
     integrate,
     normalize,
     target_relative,
-    to_inertial,
 )
 from .planner import (
     PlanResult,
@@ -80,6 +79,5 @@ __all__ = [
     "solve_sc",
     "solve_sinusoid",
     "target_relative",
-    "to_inertial",
     "validate",
 ]

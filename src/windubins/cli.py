@@ -21,7 +21,7 @@ import random
 import sys
 
 from .families import MIRROR_VARIANT, Variant
-from .geometry import Scenario, ToleranceSet, WindVector
+from .geometry import DEFAULT_START, DEFAULT_TOLERANCES, Scenario, ToleranceSet, WindVector
 from .planner import PlanResult, plan, sample
 
 CSV_HEADER = "t,x_rel,y_rel,theta,u,x_inertial,y_inertial"
@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _numbers(flag: str, count: int, shape: str):
+def _numbers(count: int, shape: str):
     """Parser of ``count`` comma-separated numbers; ``shape`` names them in
     the error message."""
 
@@ -49,28 +49,23 @@ def _numbers(flag: str, count: int, shape: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"non-numeric value in {text!r}") from None
 
-    parse.__name__ = flag
     return parse
 
 
-def _positive(flag: str):
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"non-numeric value {text!r}") from None
-        if not 0.0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text!r}")
-        return value
-
-    parse.__name__ = flag
-    return parse
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"non-numeric value {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text!r}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--feas-tol", type=_positive("feas-tol"), default=None)
-    p.add_argument("--residual-tol", type=_positive("residual-tol"), default=None)
-    p.add_argument("--sample-dt", type=_positive("sample-dt"), default=0.1)
+    p.add_argument("--feas-tol", type=_positive, default=DEFAULT_TOLERANCES.feas_tol)
+    p.add_argument("--residual-tol", type=_positive, default=DEFAULT_TOLERANCES.residual_tol)
+    p.add_argument("--sample-dt", type=_positive, default=0.1)
     p.add_argument("--output", choices=("table", "csv", "both"), default="table")
     p.add_argument("--out", default=None, metavar="PATH")
 
@@ -82,12 +77,12 @@ def _build_parser() -> _Parser:
 
     p_plan = sub.add_parser("plan", help="solve one scenario")
     pair = "two comma-separated numbers"
-    p_plan.add_argument("--wind", type=_numbers("wind", 2, pair), required=True, metavar="WX,WY")
-    p_plan.add_argument("--target", type=_numbers("target", 2, pair), required=True, metavar="X,Y")
+    p_plan.add_argument("--wind", type=_numbers(2, pair), required=True, metavar="WX,WY")
+    p_plan.add_argument("--target", type=_numbers(2, pair), required=True, metavar="X,Y")
     p_plan.add_argument("--theta-f-deg", type=float, required=True, metavar="D")
-    p_plan.add_argument("--rho", type=_positive("rho"), required=True, metavar="R")
+    p_plan.add_argument("--rho", type=_positive, required=True, metavar="R")
     p_plan.add_argument(
-        "--start", type=_numbers("start", 3, "X,Y,THETA_DEG"), default=None, metavar="X,Y,THETA_DEG"
+        "--start", type=_numbers(3, "X,Y,THETA_DEG"), default=None, metavar="X,Y,THETA_DEG"
     )
     _add_common(p_plan)
 
@@ -99,22 +94,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _tolerances(args: argparse.Namespace) -> ToleranceSet:
-    kw = {}
-    if args.feas_tol is not None:
-        kw["feas_tol"] = args.feas_tol
-    if args.residual_tol is not None:
-        kw["residual_tol"] = args.residual_tol
-    return ToleranceSet(**kw)
-
-
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     wx, wy = args.wind
     try:
         wind = WindVector(wx, wy)
     except ValueError as exc:
         raise _CliError(f"argument --wind: {exc}") from None
-    start = (0.0, 0.0, math.pi / 2)
+    start = DEFAULT_START
     if args.start is not None:
         sx, sy, sth_deg = args.start
         start = (sx, sy, math.radians(sth_deg))
@@ -126,7 +112,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             theta_f=math.radians(args.theta_f_deg),
             rho=args.rho,
             start=start,
-            tol=_tolerances(args),
+            tol=ToleranceSet(args.feas_tol, args.residual_tol),
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from None
@@ -180,8 +166,9 @@ def _run_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_batch(path: str) -> list[tuple[int, Scenario]]:
-    """(line number, scenario) for each scenario line of the file."""
+def _parse_batch(path: str, tol: ToleranceSet) -> list[tuple[int, Scenario]]:
+    """(line number, scenario) for each scenario line of the file, each with
+    the tolerances ``tol``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
@@ -206,6 +193,7 @@ def _parse_batch(path: str) -> list[tuple[int, Scenario]]:
                 target_y=ty,
                 theta_f=math.radians(th_deg),
                 rho=rho,
+                tol=tol,
             )
         except ValueError as exc:
             raise _CliError(f"argument FILE: line {i}: {exc}") from None
@@ -219,9 +207,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     block; every other line's block is still written."""
     chunks = []
     status = 0
-    for number, s in _parse_batch(args.path):
-        if args.feas_tol is not None or args.residual_tol is not None:
-            s = s._replace(tol=_tolerances(args))
+    for number, s in _parse_batch(args.path, ToleranceSet(args.feas_tol, args.residual_tol)):
         header = (
             f"# scenario {number}: wind={s.wind.wx:g},{s.wind.wy:g}"
             f" target={s.target_x:g},{s.target_y:g}"

@@ -61,7 +61,6 @@ from .geometry import (
     DEFAULT_START,
     HALF_PI,
     TWO_PI,
-    ZERO_WIND_EPS,
     ControlSchedule,
     RelativeState,
     Scenario,
@@ -81,6 +80,8 @@ from .rootfind import (
 
 #: slack for the arc-sum identity that selects the wrap branch of a root
 _BRANCH_TOL = 1e-6
+#: CCC middle arcs with sin(beta/2) at or below this are degenerate
+_ZERO_ANGLE_EPS = 1e-8
 
 _CCC_BRANCHES = (-2, -1, 0, 1, 2)
 _CSC_BRANCHES = (0, 1, 2)
@@ -239,8 +240,9 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
         sigma = variant.sigma
         cx = -sigma  # first-circle centre (cx, 0)
         # Circle condition (X - cx - T*wx)^2 + (Y - T*wy)^2 = 1, T = a + 2*pi.
-        if ww < ZERO_WIND_EPS * ZERO_WIND_EPS:
-            # A still goal on the circle is reached at the heading's arc.
+        if ww == 0.0:
+            # Still air (``WindVector`` zeroes a wind below ZERO_WIND_EPS): a
+            # goal on the circle is reached at the heading's arc.
             on_circle = (X - cx) ** 2 + Y * Y - 1.0
             alpha_head = mod2pi(sigma * (scenario.theta_f - HALF_PI))
             roots = [alpha_head] if abs(on_circle) <= tol.feas_tol * (1.0 + X * X + Y * Y) else []
@@ -270,8 +272,6 @@ def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
     roots = {q / a}
     if q != 0.0:
         roots.add(c / q)
-    else:
-        roots.add(0.0)
     return sorted(roots)
 
 
@@ -280,7 +280,7 @@ def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
 
 
 def _ccc_coeffs(
-    scenario: Scenario, sigma: int, n: int, trig: tuple[float, float] | None = None
+    scenario: Scenario, sigma: int, n: int, trig: tuple[float, float]
 ) -> tuple[QuadCosCoeffs, float, float, float]:
     """Quadratic-plus-cosine coefficients for one orientation and wrap branch.
 
@@ -291,9 +291,8 @@ def _ccc_coeffs(
     """
     wx, wy = scenario.wind.wx, scenario.wind.wy
     X, Y = scenario.target
-    th_f = scenario.theta_f
-    sin_f, cos_f = trig or (math.sin(th_f), math.cos(th_f))
-    base = sigma * (th_f - HALF_PI - 2.0 * n * math.pi)
+    sin_f, cos_f = trig
+    base = sigma * (scenario.theta_f - HALF_PI - 2.0 * n * math.pi)
     m = sigma * (X - wx * base) - sin_f + 1.0
     nn = Y - wy * base + sigma * cos_f
     c2 = -4.0 * (sigma * m * wx + nn * wy)
@@ -327,7 +326,7 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
             if hi <= lo:
                 continue
             for beta in solve_quadcos(coeffs, tol, domain=(lo, hi)).roots:
-                if math.sin(0.5 * beta) <= tol.zero_angle_eps:
+                if math.sin(0.5 * beta) <= _ZERO_ANGLE_EPS:
                     continue
                 tau = base + 2.0 * beta
                 if tau <= 0.0:
@@ -373,7 +372,9 @@ def _csc_arc_sum(variant: Variant, beta: float, th_f: float, n: int) -> float:
     return -sigma * HALF_PI + kappa * th_f + (sigma - kappa) * beta + 2.0 * n * math.pi
 
 
-def _csc_root_coeffs(scenario: Scenario, variant: Variant, n: int, trig=None):
+def _csc_root_coeffs(
+    scenario: Scenario, variant: Variant, n: int, trig: tuple[float, float]
+) -> tuple[SinusoidCoeffs | EnvelopeCoeffs, tuple[float, float] | None]:
     """Root-equation coefficients for one CSC variant and wrap branch.
 
     Eliminating the straight length d from the two displacement-balance
@@ -386,9 +387,8 @@ def _csc_root_coeffs(scenario: Scenario, variant: Variant, n: int, trig=None):
     """
     wx, wy = scenario.wind.wx, scenario.wind.wy
     sigma, kappa = variant.sigma, variant.kappa
-    th_f = scenario.theta_f
-    sin_f, cos_f = trig or (math.sin(th_f), math.cos(th_f))
-    s = _csc_arc_sum(variant, 0.0, th_f, n)
+    sin_f, cos_f = trig
+    s = _csc_arc_sum(variant, 0.0, scenario.theta_f, n)
     rx = scenario.target_x - s * wx + sigma - kappa * sin_f
     ry = scenario.target_y - s * wy + kappa * cos_f
     if sigma == kappa:
@@ -432,8 +432,6 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
                 window = None
             else:
                 window = _csc_branch_window(variant.sigma, th_f, n)
-                if window is None:
-                    continue
                 coeffs, _ = _csc_root_coeffs(scenario, variant, n, trig)
                 roots = solve_envelope(coeffs, tol, domain=window).roots
             for beta in roots:
@@ -443,22 +441,19 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
     return _dedupe(out)
 
 
-def _csc_branch_window(sigma: int, th_f: float, n: int) -> tuple[float, float] | None:
+def _csc_branch_window(sigma: int, th_f: float, n: int) -> tuple[float, float]:
     """Beta interval on which the wrap count of the two arcs of RSL/LSR
     equals n.
 
     For RSL (sigma = -1) the count is [beta > pi/2] + [beta > theta_f]; LSR
     mirrors it.  The windows partition [0, 2*pi), so each branch equation
     only needs its own slice (padded against boundary roots; the arc-sum
-    filter still arbitrates exactly).
+    filter still arbitrates exactly).  The edges are sorted in [0, 2*pi] and
+    padded by 1e-9, so no window is empty.
     """
     edges = (0.0, min(HALF_PI, th_f), max(HALF_PI, th_f), TWO_PI)
     k = n if sigma == -1 else 2 - n
-    lo = max(0.0, edges[k] - 1e-9)
-    hi = min(TWO_PI, edges[k + 1] + 1e-9)
-    if hi <= lo:
-        return None
-    return (lo, hi)
+    return (max(0.0, edges[k] - 1e-9), min(TWO_PI, edges[k + 1] + 1e-9))
 
 
 def _csc_from_beta(

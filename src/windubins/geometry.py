@@ -21,7 +21,8 @@ from collections import namedtuple
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-#: Wind speeds below this are treated as exactly zero (stationary target).
+#: Wind speeds below this are exactly zero (stationary target): ``WindVector``
+#: maps a slower wind to (0, 0).
 ZERO_WIND_EPS = 1e-12
 
 #: Farthest supported goal, in turn radii from the start (see ``Scenario``).
@@ -60,22 +61,29 @@ class RelativeState(_Record, namedtuple("RelativeState", "x y theta")):
 
 
 class WindVector(_Record, namedtuple("WindVector", "wx wy")):
-    """Steady wind, normalized by vehicle airspeed.  Must satisfy |w| < 1."""
+    """Steady wind, normalized by vehicle airspeed.  Must satisfy |w| < 1.
+
+    A non-zero wind slower than ``ZERO_WIND_EPS`` becomes (0, 0): the root
+    equations of so slow a wind carry coefficients whose squares underflow.
+    """
 
     __slots__ = ()
 
     def __new__(cls, wx: float, wy: float):
-        if not (wx * wx + wy * wy < 1.0):
+        ww = wx * wx + wy * wy
+        if not ww < 1.0:
             raise ValueError(
                 f"wind speed must be < 1 vehicle speed, got |w|={math.hypot(wx, wy):.6g}"
             )
+        if ww < ZERO_WIND_EPS * ZERO_WIND_EPS and (wx or wy):
+            wx = wy = 0.0
         return tuple.__new__(cls, (wx, wy))
 
     def speed(self) -> float:
         return math.hypot(self.wx, self.wy)
 
 
-class ToleranceSet(_Record, namedtuple("ToleranceSet", "feas_tol residual_tol zero_angle_eps")):
+class ToleranceSet(_Record, namedtuple("ToleranceSet", "feas_tol residual_tol")):
     """Numerical tolerances used throughout the planner.
 
     Lengths are in turn radii, so a scenario and its copy with goal and rho
@@ -88,15 +96,12 @@ class ToleranceSet(_Record, namedtuple("ToleranceSet", "feas_tol residual_tol ze
     residual_tol    the one bound on the endpoint miss, in every family: a
                     candidate of total time t may miss the moving target by
                     at most residual_tol*(rho + t); see ``accepts``
-    zero_angle_eps  arc radians below this are treated as degenerate
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, feas_tol: float = 1e-6, residual_tol: float = 1e-6, zero_angle_eps: float = 1e-8
-    ):
-        values = (feas_tol, residual_tol, zero_angle_eps)
+    def __new__(cls, feas_tol: float = 1e-6, residual_tol: float = 1e-6):
+        values = (feas_tol, residual_tol)
         for name, value in zip(cls._fields, values):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
@@ -283,12 +288,6 @@ def state_at(
                 break
         rows.append((x, y, mod2pi(th), u))
     return rows
-
-
-def to_inertial(rel: RelativeState, t: float, wind: WindVector) -> tuple[float, float]:
-    """Inertial position of an air-relative position at time t: the relative
-    frame has drifted by t * wind."""
-    return (rel.x + t * wind.wx, rel.y + t * wind.wy)
 
 
 def target_relative(scenario: Scenario, t: float) -> tuple[float, float]:

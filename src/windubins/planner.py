@@ -66,19 +66,15 @@ def validate(candidate: PathCandidate, scenario: Scenario) -> ValidationReport:
     Position is compared against the moving target at the candidate's total
     time; the misses and their acceptance are those of ``families._finish``.
     The interception identity (travel time equals the target's arrival time
-    at the endpoint) is reported separately, degenerating to the position
-    residual for zero wind; it needs no check of its own, because by the
-    triangle inequality it never exceeds the position residual.
+    at the endpoint) is reported separately, and equals the position residual
+    for zero wind; it needs no check of its own, because by the triangle
+    inequality it never exceeds the position residual.
     """
     norm = normalize(scenario)
     total = candidate.total_time
     end, pos_err, head_err = _misses(norm, candidate.schedule, total, norm.rho)
-    w = norm.wind.speed()
-    if w > 0.0:
-        dist = math.hypot(end.x - norm.target_x, end.y - norm.target_y)
-        icpt_err = abs(dist - total * w)
-    else:
-        icpt_err = pos_err
+    dist = math.hypot(end.x - norm.target_x, end.y - norm.target_y)
+    icpt_err = abs(dist - total * norm.wind.speed())
     feasible = norm.tol.accepts(total, pos_err, head_err, norm.rho)
     return ValidationReport(pos_err, head_err, icpt_err, feasible)
 
@@ -147,12 +143,10 @@ def sample(candidate: PathCandidate, dt: float, scenario: Scenario) -> list[Traj
     merged: list[float] = []
     for t in times:
         if not merged or t - merged[-1] > eps:
-            merged.append(min(t, total))
-    if merged[-1] != total:
-        if total - merged[-1] <= eps:
-            merged[-1] = total
-        else:
-            merged.append(total)
+            merged.append(t)
+    # total is in ``times`` and no time exceeds it by more than rounding, so
+    # the last merged time is total or within eps of it.
+    merged[-1] = total
 
     # Back to the caller's frame: undo ``normalize``, a turn by angle about
     # the start point, by rotating by -angle and translating by the start.

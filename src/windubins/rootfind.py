@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import TWO_PI, ToleranceSet, _Record, mod2pi
+from .geometry import DEFAULT_TOLERANCES, TWO_PI, ToleranceSet, _Record, mod2pi
 
 _MERGE_EPS = 1e-11
 #: merge window of a tangential detection (see ``_root_set``)
@@ -228,7 +228,7 @@ def _envelope_rootless(coeffs: EnvelopeCoeffs, lo: float, hi: float, slack: floa
 
 def solve_quadcos(
     coeffs: QuadCosCoeffs,
-    tol: ToleranceSet | None = None,
+    tol: ToleranceSet = DEFAULT_TOLERANCES,
     domain: tuple[float, float] | None = None,
 ) -> RootSet:
     """All real roots of c1*b^2 + c2*b + c3*cos(b) + c4 on [0, 2*pi), or on a
@@ -243,7 +243,6 @@ def solve_quadcos(
     every root of G' (at most three); those stationary points in turn split
     the domain into at most four pieces where G itself is monotone.
     """
-    tol = tol or _DEFAULT_TOL
     lo, hi = domain if domain is not None else (0.0, TWO_PI)
     if not hi > lo:
         return _EMPTY
@@ -289,14 +288,13 @@ def solve_quadcos(
     return _root_set(_monotone_roots(g, g_fused, lo, hi, stationary, graze))
 
 
-def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet | None = None) -> RootSet:
+def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet = DEFAULT_TOLERANCES) -> RootSet:
     """Roots of e1 + e2*sin(b) + e3*cos(b) = 0, analytically.
 
     Writes the oscillating part as R*sin(b + phi) with R = hypot(e2, e3):
     no roots when |e1| > R, a single grazing root at |e1| = R (within the
     feasibility slack), and two arcsine branches otherwise.
     """
-    tol = tol or _DEFAULT_TOL
     e1, e2, e3 = coeffs
     amp = math.hypot(e2, e3)
     if amp == 0.0:
@@ -315,7 +313,7 @@ def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet | None = None) -> R
 
 def solve_envelope(
     coeffs: EnvelopeCoeffs,
-    tol: ToleranceSet | None = None,
+    tol: ToleranceSet = DEFAULT_TOLERANCES,
     domain: tuple[float, float] | None = None,
 ) -> RootSet:
     """All roots of f1 + f2*sin(b) + f3*cos(b) + b*(f4*sin(b) + f5*cos(b)) on
@@ -336,7 +334,6 @@ def solve_envelope(
     at most nine bracketed solves (four for h, five for G) of at most 120
     steps each, plus fewer than 30 single evaluations at knots.
     """
-    tol = tol or _DEFAULT_TOL
     lo, hi = domain if domain is not None else (0.0, TWO_PI)
     if not hi > lo:
         return _EMPTY
@@ -372,6 +369,12 @@ def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[f
     a = 0), and G' = (b - b0)*|d|*sin(b + theta) gives the roots directly.
     """
     _, f2, f3, f4, f5 = coeffs
+    # G' has the roots of any positive multiple of it: scale by a power of
+    # two, which is exact, so that a product of four of the largest
+    # coefficients, as in k*k below, neither overflows nor underflows.
+    big = max(abs(f2), abs(f3), abs(f4), abs(f5))
+    if big > 2.0**128 or 0.0 < big < 2.0**-128:
+        f2, f3, f4, f5 = (math.ldexp(f, -math.frexp(big)[1]) for f in (f2, f3, f4, f5))
     pi, atan2 = math.pi, math.atan2
     a = f4 * f4 + f5 * f5
     cross = f2 * f4 + f3 * f5
@@ -387,8 +390,12 @@ def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[f
     theta = atan2(f4, -f5)
 
     def phase(b: float, level: float = 0.0) -> tuple[float, float]:
+        # (h - level, h').  k*k + x*x underflows to 0 only where K and x are
+        # both below 1e-162; h' is then only a Newton hint, which ``_refine``
+        # drops when it leaves the bracket.
         x = a * b + cross
-        return b + theta + atan2(-k, x) - level, 1.0 + k * a / (k * k + x * x)
+        r2 = k * k + x * x
+        return b + theta + atan2(-k, x) - level, 1.0 + k * a / r2 if r2 else 1.0
 
     knots = [lo]
     if k < 0.0 and a + k >= 0.0:
@@ -407,5 +414,3 @@ def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[f
                 found.append(_refine(lambda b: phase(b, level), p, q, hp - level))
     return found
 
-
-_DEFAULT_TOL = ToleranceSet()

@@ -95,7 +95,7 @@ def test_criterion_7_performance():
     # not the code.  Each batch yields a median; external interference only
     # ever adds time, so the best batch median is the honest figure.
     scenario = make_case1()
-    coeffs, *_ = _ccc_coeffs(scenario, -1, 1)
+    coeffs, *_ = _ccc_coeffs(scenario, -1, 1, (math.sin(scenario.theta_f), math.cos(scenario.theta_f)))
     tol = ToleranceSet()
     for _ in range(100):
         solve_quadcos(coeffs, tol)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import windubins
 from windubins.cli import CSV_HEADER, run
@@ -354,3 +356,44 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("t_f=10.000000")
+
+
+def test_batch_tiny_wind_plans_as_zero_wind(tmp_path, capsys):
+    # Winds below ZERO_WIND_EPS are zero: the root equations of a wind of
+    # 1e-300 would carry coefficients whose squares underflow.
+    path = tmp_path / "scenarios.txt"
+    path.write_text("0 0 5 -2 70 1\n")
+    status, still, _ = run_cli(capsys, "batch", str(path))
+    assert status == 0
+    for wind in ("0 1e-300", "1e-200 0", "-1e-160 1e-160", "1e-13 0"):
+        path.write_text(f"{wind} 5 -2 70 1\n")
+        status, out, err = run_cli(capsys, "batch", str(path))
+        assert status == 0 and err == ""
+        assert out.splitlines()[1:] == still.splitlines()[1:]  # all but the header
+
+
+#: a batch field: the edges of the float range, special values, or an
+#: ordinary number (winds of at most 0.6 a component, so paths stay short)
+_SPECIAL = st.sampled_from(
+    (0.0, 1e-320, -1e-320, 1e-300, 1e-160, 1e150, 1e300, 1.7e308, math.inf, math.nan)
+)
+_LINE = st.tuples(
+    _SPECIAL | st.floats(-0.6, 0.6), _SPECIAL | st.floats(-0.6, 0.6),
+    _SPECIAL | st.floats(-50.0, 50.0), _SPECIAL | st.floats(-50.0, 50.0),
+    _SPECIAL | st.floats(-720.0, 720.0), _SPECIAL | st.floats(0.01, 20.0),
+)
+
+
+@settings(
+    max_examples=120, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.lists(_LINE, min_size=1, max_size=3))
+@example([(0.0, 1e-300, 5.0, -2.0, 70.0, 1.0)])  # the tiny-wind line
+def test_batch_never_raises(tmp_path, capsys, lines):
+    path, out = tmp_path / "scenarios.txt", tmp_path / "out.txt"
+    path.write_text("".join(" ".join(repr(v) for v in fields) + "\n" for fields in lines))
+    status, _, err = run_cli(capsys, "batch", str(path), "--output", "both", "--out", str(out))
+    assert status in (0, 1, 2)
+    assert all(line.startswith("error: ") for line in err.splitlines())
+    assert (status == 1) == (err != "")

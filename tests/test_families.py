@@ -18,13 +18,23 @@ from windubins import (
     target_relative,
     ToleranceSet,
 )
-from windubins.families import MIRROR_VARIANT, Family, _ccc_coeffs, _csc_root_coeffs
+from windubins.families import (
+    MIRROR_VARIANT,
+    Family,
+    _ccc_coeffs,
+    _csc_branch_window,
+    _csc_root_coeffs,
+)
 from windubins.geometry import HALF_PI, TWO_PI, ang_dist
 
 from conftest import CASE1_TIMES, CASE2_LSL_TIME, make_case1, make_case2, random_scenario
 from oracle import GridSpec, brute_force
 
 START = RelativeState(0.0, 0.0, HALF_PI)
+
+
+def _trig(scenario):
+    return (math.sin(scenario.theta_f), math.cos(scenario.theta_f))
 
 
 def by_variant(cands, label):
@@ -269,7 +279,7 @@ def test_csc_coefficients_match_displacement_balance():
         wx, wy = sc.wind.wx, sc.wind.wy
         variant = rng.choice(list(Variant)[-4:])
         n = rng.choice((0, 1, 2))
-        coeffs, _ = _csc_root_coeffs(sc, variant, n)
+        coeffs, _ = _csc_root_coeffs(sc, variant, n, _trig(sc))
         beta = rng.uniform(0.0, TWO_PI)
         sb, cb = math.sin(beta), math.cos(beta)
         if variant.sigma == -1:
@@ -347,14 +357,14 @@ _VARIANT_BY_LABEL = {v.label: v for v in Variant}
 @pytest.mark.parametrize("key,expected", sorted(CASE1_CCC_GOLDEN.items()))
 def test_case1_ccc_coefficients_locked(key, expected):
     sigma, n = key
-    coeffs, *_ = _ccc_coeffs(make_case1(), sigma, n)
+    coeffs, *_ = _ccc_coeffs(make_case1(), sigma, n, _trig(make_case1()))
     assert (coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4) == expected
 
 
 @pytest.mark.parametrize("key,expected", sorted(CASE1_CSC_GOLDEN.items()))
 def test_case1_csc_coefficients_locked(key, expected):
     label, n = key
-    coeffs, _ = _csc_root_coeffs(make_case1(), _VARIANT_BY_LABEL[label], n)
+    coeffs, _ = _csc_root_coeffs(make_case1(), _VARIANT_BY_LABEL[label], n, _trig(make_case1()))
     got = (
         (coeffs.e1, coeffs.e2, coeffs.e3)
         if hasattr(coeffs, "e1")
@@ -366,17 +376,29 @@ def test_case1_csc_coefficients_locked(key, expected):
 @pytest.mark.parametrize("key,expected", sorted(CASE2_CCC_GOLDEN.items()))
 def test_case2_ccc_coefficients_locked(key, expected):
     sigma, n = key
-    coeffs, *_ = _ccc_coeffs(make_case2(), sigma, n)
+    coeffs, *_ = _ccc_coeffs(make_case2(), sigma, n, _trig(make_case2()))
     assert (coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4) == expected
 
 
 @pytest.mark.parametrize("key,expected", sorted(CASE2_CSC_GOLDEN.items()))
 def test_case2_csc_coefficients_locked(key, expected):
     label, n = key
-    coeffs, _ = _csc_root_coeffs(make_case2(), _VARIANT_BY_LABEL[label], n)
+    coeffs, _ = _csc_root_coeffs(make_case2(), _VARIANT_BY_LABEL[label], n, _trig(make_case2()))
     got = (
         (coeffs.e1, coeffs.e2, coeffs.e3)
         if hasattr(coeffs, "e1")
         else (coeffs.f1, coeffs.f2, coeffs.f3, coeffs.f4, coeffs.f5)
     )
     assert got == expected
+
+
+def test_csc_branch_windows_cover_the_circle():
+    # solve_csc solves each RSL/LSR branch equation on its window alone, so
+    # the three windows must be non-empty and together cover [0, 2*pi).
+    rng = random.Random(7)
+    for th_f in [0.0, HALF_PI, math.pi, 1.5 * math.pi] + [rng.uniform(0.0, TWO_PI) for _ in range(200)]:
+        for sigma in (-1, 1):
+            windows = sorted(_csc_branch_window(sigma, th_f, n) for n in (0, 1, 2))
+            assert all(lo < hi for lo, hi in windows)
+            assert windows[0][0] == 0.0 and windows[-1][1] == TWO_PI
+            assert all(nxt[0] <= prev[1] for prev, nxt in zip(windows, windows[1:]))

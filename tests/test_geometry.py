@@ -16,7 +16,6 @@ from windubins import (
     normalize,
     sample,
     target_relative,
-    to_inertial,
 )
 from windubins.geometry import HALF_PI, TWO_PI, mod2pi, ang_dist, propagate, state_at
 
@@ -56,9 +55,18 @@ def test_wind_vector_rejects_fast_wind():
         WindVector._make((0.0, -1.0))
 
 
+def test_wind_vector_below_zero_wind_eps_is_zero():
+    for wx, wy in ((0.0, 1e-300), (1e-13, -1e-13), (-1e-160, 0.0), (5e-324, 5e-324)):
+        w = WindVector(wx, wy)
+        assert w == (0.0, 0.0) and math.copysign(1.0, w.wx) == math.copysign(1.0, w.wy) == 1.0
+    assert WindVector(1e-12, 0.0) == (1e-12, 0.0)
+    # an exact zero keeps its sign
+    assert math.copysign(1.0, WindVector(-0.0, 0.0).wx) == -1.0
+
+
 def test_tolerances_positive():
     default = ToleranceSet()
-    for name in ("feas_tol", "residual_tol", "zero_angle_eps"):
+    for name in ("feas_tol", "residual_tol"):
         for value in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
                 ToleranceSet(**{name: value})
@@ -66,7 +74,7 @@ def test_tolerances_positive():
                 default._replace(**{name: value})
             with pytest.raises(ValueError, match=name):
                 ToleranceSet._make(value if f == name else 1e-6 for f in ToleranceSet._fields)
-    assert default._replace(feas_tol=1e-3) == (1e-3, 1e-6, 1e-8)
+    assert default._replace(feas_tol=1e-3) == (1e-3, 1e-6)
 
 
 def test_scenario_rejects_bad_rho():
@@ -267,13 +275,6 @@ def test_integrate_composition_exact_without_wrap():
     whole = integrate(START, ControlSchedule(a + b), rho)
     parts = integrate(integrate(START, ControlSchedule(a), rho), ControlSchedule(b), rho)
     assert whole == parts
-
-
-def test_to_inertial_identity_and_drift():
-    assert to_inertial(RelativeState(0, 0, 0), 0.0, WindVector(0.3, 0.2)) == (0.0, 0.0)
-    drifted = to_inertial(RelativeState(0, 0, 0), 1.0, WindVector(0.475, -0.155))
-    assert drifted == (0.475, -0.155)
-    assert to_inertial(RelativeState(1, 1, 0), 2.0, WindVector(0, 0)) == (1.0, 1.0)
 
 
 def test_target_relative_examples():

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from windubins import (
@@ -341,3 +341,31 @@ def test_envelope_certificate_is_sound(f2, f3, f4, f5, share, margin, negative, 
     if _envelope_rootless(coeffs, lo, hi, _slack(coeffs)):
         _assert_no_root_on(envelope_fn(*coeffs), coeffs, lo, hi)
         assert len(solve_envelope(coeffs, TOL, domain=(lo, hi))) == 0
+
+
+#: a coefficient: zero, or a magnitude from 1e-300 to 1e300 of either sign
+_WIDE = st.just(0.0) | st.builds(
+    lambda sign, exp, mantissa: sign * mantissa * 10.0**exp,
+    st.sampled_from((-1.0, 1.0)), st.integers(-300, 299), st.floats(1.0, 9.99),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_WIDE, _WIDE, _WIDE, _WIDE, _WIDE)
+@example(
+    -5.002354480244801e-201, -8.750104556202391, -8.316254727402217e-09,
+    4.990723718841901e-301, 7.494425606056481e-201,
+)  # the squares of f4 and f5 underflow
+@example(
+    -8.737574072724153e98, -6.451579576141376e-101, -2.616920494460919e199,
+    5.7460383142769845e-161, -9.461575899813399e299,
+)  # f4^2 + f5^2 overflows
+@example(0.5, -1.0, 1.0, 1.0, 1e-170)  # K = -1e-170 and (P, Q) passes through 0 at b = 1
+def test_envelope_any_finite_magnitudes(f1, f2, f3, f4, f5):
+    coeffs = EnvelopeCoeffs(f1, f2, f3, f4, f5)
+    rs = solve_envelope(coeffs, TOL)
+    assert isinstance(rs, RootSet)
+    assert list(rs.roots) == sorted(rs.roots) and len(rs.tangential) == len(rs.roots)
+    assert all(0.0 <= r < TWO_PI for r in rs.roots)
+    g = envelope_fn(*coeffs)
+    assert all(abs(g(r)) <= 2.0 * _graze(coeffs) for r in rs.roots)
