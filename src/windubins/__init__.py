@@ -8,7 +8,6 @@ returns the global minimum together with every feasible candidate.
 
 from .families import (
     Family,
-    MIRROR_VARIANT,
     PathCandidate,
     SegmentParams,
     Variant,
@@ -52,7 +51,6 @@ __all__ = [
     "ControlSchedule",
     "EnvelopeCoeffs",
     "Family",
-    "MIRROR_VARIANT",
     "PathCandidate",
     "PlanResult",
     "QuadCosCoeffs",

@@ -4,7 +4,6 @@ Subcommands:
 
   plan      solve one scenario given on the command line
   batch     solve one scenario per line of a file (wx wy X Y theta_f_deg rho)
-  selftest  run built-in reference checks and exit 0/1
 
 Exit codes: 0 success, 1 invalid input, 2 no feasible candidate.  Angles are
 taken in degrees on the command line and converted once at this boundary; all
@@ -17,10 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import random
 import sys
 
-from .families import MIRROR_VARIANT, Variant
 from .geometry import DEFAULT_START, DEFAULT_TOLERANCES, Scenario, ToleranceSet, WindVector
 from .planner import PlanResult, plan, sample
 
@@ -89,8 +86,6 @@ def _build_parser() -> _Parser:
     p_batch = sub.add_parser("batch", help="solve scenarios from a file")
     p_batch.add_argument("path", metavar="FILE")
     _add_common(p_batch)
-
-    sub.add_parser("selftest", help="run built-in reference checks")
     return parser
 
 
@@ -140,10 +135,7 @@ def _format_csv(result: PlanResult, scenario: Scenario, dt: float) -> str:
         raise _CliError(str(exc)) from None
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            f"{r.t:.17g},{r.x_rel:.17g},{r.y_rel:.17g},{r.theta:.17g},"
-            f"{r.u:d},{r.x_inertial:.17g},{r.y_inertial:.17g}"
-        )
+        lines.append("%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g" % r)
     return "\n".join(lines) + "\n"
 
 
@@ -239,87 +231,6 @@ def _write(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def _reference_cases() -> list[tuple[str, Scenario, Variant, float]]:
-    # Reference wind has speed exactly 0.5 at bearing -18 deg; the reference
-    # times below require the exact value, not its 3-decimal rounding.
-    wind1 = WindVector(0.5 * math.cos(math.radians(-18.0)), 0.5 * math.sin(math.radians(-18.0)))
-    case1 = Scenario(wind=wind1, target_x=5.0, target_y=-2.0, theta_f=math.radians(72.0), rho=1.0)
-    wind2 = WindVector(0.0, -(4.0 + 2.0 * math.sqrt(2.0)) / (9.0 * math.pi))
-    case2 = Scenario(
-        wind=wind2,
-        target_x=1.0 - 1.0 / math.sqrt(2.0),
-        target_y=-1.0,
-        theta_f=math.pi / 4.0,
-        rho=1.0,
-    )
-    return [
-        ("case1", case1, Variant.LSL, 7.5294),
-        ("case2", case2, Variant.RL2PI, 9.0 * math.pi / 4.0),
-    ]
-
-
-def _run_selftest() -> int:
-    ok = True
-
-    def check(name: str, passed: bool, detail: str = "") -> None:
-        nonlocal ok
-        ok = ok and passed
-        print(("ok" if passed else "FAIL") + f": {name}" + (f" ({detail})" if detail else ""))
-
-    for name, scenario, variant, t_ref in _reference_cases():
-        result = plan(scenario)
-        good = (
-            result.feasible
-            and result.best.variant is variant
-            and abs(result.t_f - t_ref) <= 1e-3
-        )
-        check(
-            f"{name} best={variant.label} t_f~{t_ref:.4f}",
-            good,
-            f"got {result.best.variant.label if result.feasible else 'none'} {result.t_f:.4f}",
-        )
-
-    rng = random.Random(20240821)
-    worst = 0.0
-    mirror_ok = True
-    for _ in range(25):
-        w = rng.uniform(0.0, 0.8)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        scenario = Scenario(
-            wind=WindVector(w * math.cos(ang), w * math.sin(ang)),
-            target_x=rng.uniform(-8.0, 8.0),
-            target_y=rng.uniform(-8.0, 8.0),
-            theta_f=rng.uniform(0.0, 2.0 * math.pi),
-            rho=1.0,
-        )
-        result = plan(scenario)
-        if not result.feasible:
-            continue
-        for cand in result.all_candidates:
-            worst = max(worst, cand.residual / (1.0 + cand.total_time))
-        mirrored = Scenario(
-            wind=WindVector(-scenario.wind.wx, scenario.wind.wy),
-            target_x=-scenario.target_x,
-            target_y=scenario.target_y,
-            theta_f=(math.pi - scenario.theta_f) % (2.0 * math.pi),
-            rho=1.0,
-        )
-        mres = plan(mirrored)
-        if not (
-            mres.feasible
-            and abs(mres.t_f - result.t_f) <= 1e-9
-            and mres.best.variant is MIRROR_VARIANT[result.best.variant]
-        ):
-            mirror_ok = False
-    check("random-scenario residuals within tolerance", worst <= 1e-6, f"worst {worst:.2e}")
-    check("mirror symmetry on random scenarios", mirror_ok)
-    return 0 if ok else 1
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and execute; returns the process exit status."""
     parser = _build_parser()
@@ -327,9 +238,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.mode == "plan":
             return _run_plan(args)
-        if args.mode == "batch":
-            return _run_batch(args)
-        return _run_selftest()
+        return _run_batch(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

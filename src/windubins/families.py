@@ -127,11 +127,6 @@ for _order, _variant in enumerate(Variant):
     _variant.order = _order
 del _order, _variant
 
-_BY_LABEL = {v.label: v for v in Variant}
-
-#: L/R reflection of each variant (mirror across the y-axis of the start frame)
-MIRROR_VARIANT = {v: _BY_LABEL[v.label.translate(str.maketrans("RL", "LR"))] for v in Variant}
-
 _CCC_VARIANT = {  # (sigma, middle arc beyond pi)
     (-1, False): Variant.RLR_SHORT,
     (-1, True): Variant.RLR_LONG,
@@ -279,20 +274,25 @@ def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
 # CCC: three alternating arcs.
 
 
+def _ccc_base(scenario: Scenario, sigma: int, n: int) -> float:
+    """alpha + gamma - beta, fixed by the heading identity for branch n."""
+    return sigma * (scenario.theta_f - HALF_PI - 2.0 * n * math.pi)
+
+
 def _ccc_coeffs(
     scenario: Scenario, sigma: int, n: int, trig: tuple[float, float]
 ) -> tuple[QuadCosCoeffs, float, float, float]:
     """Quadratic-plus-cosine coefficients for one orientation and wrap branch.
 
-    base = alpha + gamma - beta, fixed by the heading identity for branch n;
-    the target identity then pins the endpoint as a linear function of beta,
-    and the tangency of the first/last circles with the middle one squares
-    into G(beta) = c1*b^2 + c2*b + c3*cos b + c4.  ``trig``: (sin, cos) of theta_f.
+    base = alpha + gamma - beta (``_ccc_base``); the target identity then
+    pins the endpoint as a linear function of beta, and the tangency of the
+    first/last circles with the middle one squares into
+    G(beta) = c1*b^2 + c2*b + c3*cos b + c4.  ``trig``: (sin, cos) of theta_f.
     """
     wx, wy = scenario.wind.wx, scenario.wind.wy
     X, Y = scenario.target
     sin_f, cos_f = trig
-    base = sigma * (scenario.theta_f - HALF_PI - 2.0 * n * math.pi)
+    base = _ccc_base(scenario, sigma, n)
     m = sigma * (X - wx * base) - sin_f + 1.0
     nn = Y - wy * base + sigma * cos_f
     c2 = -4.0 * (sigma * m * wx + nn * wy)
@@ -317,14 +317,15 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
     for sigma in (-1, 1):
         head = sigma * (scenario.theta_f - HALF_PI)
         for n in _CCC_BRANCHES:
-            coeffs, base, m, nn = _ccc_coeffs(scenario, sigma, n, trig)
             # Branch window: total time positive and alpha + gamma in [0, 4*pi)
             # bound beta to a subinterval (padded against boundary roots).
+            base = _ccc_base(scenario, sigma, n)
             lo = max(0.0, -base, -0.5 * base) - 1e-9
             hi = min(TWO_PI, 2.0 * TWO_PI - base) + 1e-9
             lo, hi = max(lo, 0.0), min(hi, TWO_PI)
             if hi <= lo:
                 continue
+            coeffs, _, m, nn = _ccc_coeffs(scenario, sigma, n, trig)
             for beta in solve_quadcos(coeffs, tol, domain=(lo, hi)).roots:
                 if math.sin(0.5 * beta) <= _ZERO_ANGLE_EPS:
                     continue

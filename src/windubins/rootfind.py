@@ -53,6 +53,8 @@ _MERGE_EPS = 1e-11
 _TANGENT_MERGE = 1e-6
 #: bound on the rounding of one evaluation of G, relative to its scale
 _ROUNDING = 1e-12
+#: scale above which a solver first rescales its coefficients (``_rescaled``)
+_HUGE = 2.0**128
 
 
 def _finite(cls, values: tuple[float, ...]):
@@ -109,6 +111,19 @@ class RootSet(_Record, namedtuple("RootSet", "roots tangential")):
 
 
 _EMPTY = RootSet((), ())
+
+
+def _rescaled(coeffs):
+    """``coeffs`` and its scale.  Above ``_HUGE`` the record is first divided
+    by the power of two of its largest |coefficient|: exact, so G keeps its
+    roots, and neither the scale nor G overflows.  Smaller records pass
+    untouched."""
+    scale = coeffs.scale
+    if scale > _HUGE:
+        shift = -math.frexp(max(map(abs, coeffs)))[1]
+        coeffs = type(coeffs)(*(math.ldexp(v, shift) for v in coeffs))
+        scale = coeffs.scale
+    return coeffs, scale
 
 
 def _root_set(found: list[tuple[float, bool]]) -> RootSet:
@@ -246,7 +261,7 @@ def solve_quadcos(
     lo, hi = domain if domain is not None else (0.0, TWO_PI)
     if not hi > lo:
         return _EMPTY
-    scale = coeffs.scale
+    coeffs, scale = _rescaled(coeffs)
     graze = tol.feas_tol * scale
     if _quadcos_rootless(coeffs, lo, hi, graze + _ROUNDING * scale):
         return _EMPTY
@@ -295,13 +310,14 @@ def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet = DEFAULT_TOLERANCE
     no roots when |e1| > R, a single grazing root at |e1| = R (within the
     feasibility slack), and two arcsine branches otherwise.
     """
+    coeffs, scale = _rescaled(coeffs)
     e1, e2, e3 = coeffs
     amp = math.hypot(e2, e3)
     if amp == 0.0:
         return _EMPTY
     phi = math.atan2(e3, e2)
     s = -e1 / amp
-    band = tol.feas_tol * (1.0 + abs(e1) + abs(e2) + abs(e3)) / amp
+    band = tol.feas_tol * scale / amp
     if abs(s) > 1.0 + band:
         return _EMPTY
     if abs(s) >= 1.0 - band:
@@ -337,7 +353,7 @@ def solve_envelope(
     lo, hi = domain if domain is not None else (0.0, TWO_PI)
     if not hi > lo:
         return _EMPTY
-    scale = coeffs.scale
+    coeffs, scale = _rescaled(coeffs)
     graze = tol.feas_tol * scale
     if _envelope_rootless(coeffs, lo, hi, graze + _ROUNDING * scale):
         return _EMPTY
@@ -371,9 +387,10 @@ def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[f
     _, f2, f3, f4, f5 = coeffs
     # G' has the roots of any positive multiple of it: scale by a power of
     # two, which is exact, so that a product of four of the largest
-    # coefficients, as in k*k below, neither overflows nor underflows.
+    # coefficients, as in k*k below, does not underflow.  It cannot overflow:
+    # ``solve_envelope`` has brought every coefficient to at most ``_HUGE``.
     big = max(abs(f2), abs(f3), abs(f4), abs(f5))
-    if big > 2.0**128 or 0.0 < big < 2.0**-128:
+    if 0.0 < big < 2.0**-128:
         f2, f3, f4, f5 = (math.ldexp(f, -math.frexp(big)[1]) for f in (f2, f3, f4, f5))
     pi, atan2 = math.pi, math.atan2
     a = f4 * f4 + f5 * f5

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from windubins import Scenario, WindVector
+from windubins import Scenario, Variant, WindVector
 
 # Reference interception scenario 1: wind speed exactly 0.5 at bearing -18 deg.
 # The quoted 3-decimal wind (0.475, -0.155) is a rounded print of this value;
@@ -42,6 +42,11 @@ CASE2_TIMES = {
 #: 0.44*rho.  Extra full loops give 23.47163 and 31.74407, and no rounding of
 #: wind or target reproduces 15.7929 while keeping the other quoted times.
 CASE2_LSL_TIME = 15.21232032695766
+
+#: L/R reflection of each variant (mirror across the y-axis of the start frame)
+MIRROR_VARIANT = {
+    v: next(m for m in Variant if m.label == v.label.translate(str.maketrans("RL", "LR"))) for v in Variant
+}
 
 
 def make_case1(**kwargs) -> Scenario:

@@ -18,7 +18,6 @@ import pytest
 
 from windubins import (
     EnvelopeCoeffs,
-    MIRROR_VARIANT,
     QuadCosCoeffs,
     Scenario,
     ToleranceSet,
@@ -36,6 +35,7 @@ from conftest import (
     CASE1_TIMES,
     CASE2_LSL_TIME,
     CASE2_TIMES,
+    MIRROR_VARIANT,
     make_case1,
     make_case1_rounded,
     make_case2,

@@ -19,7 +19,6 @@ from windubins import (
     ToleranceSet,
 )
 from windubins.families import (
-    MIRROR_VARIANT,
     Family,
     _ccc_coeffs,
     _csc_branch_window,
@@ -27,7 +26,14 @@ from windubins.families import (
 )
 from windubins.geometry import HALF_PI, TWO_PI, ang_dist
 
-from conftest import CASE1_TIMES, CASE2_LSL_TIME, make_case1, make_case2, random_scenario
+from conftest import (
+    CASE1_TIMES,
+    CASE2_LSL_TIME,
+    MIRROR_VARIANT,
+    make_case1,
+    make_case2,
+    random_scenario,
+)
 from oracle import GridSpec, brute_force
 
 START = RelativeState(0.0, 0.0, HALF_PI)

@@ -6,7 +6,6 @@ import pytest
 from windubins import (
     ControlSchedule,
     Family,
-    MIRROR_VARIANT,
     PathCandidate,
     Scenario,
     SegmentParams,
@@ -22,6 +21,7 @@ from windubins.geometry import HALF_PI, TWO_PI
 from conftest import (
     CASE1_TIMES,
     CASE2_TIMES,
+    MIRROR_VARIANT,
     make_case1,
     make_case2,
     mirrored,

@@ -343,11 +343,21 @@ def test_envelope_certificate_is_sound(f2, f3, f4, f5, share, margin, negative, 
         assert len(solve_envelope(coeffs, TOL, domain=(lo, hi))) == 0
 
 
-#: a coefficient: zero, or a magnitude from 1e-300 to 1e300 of either sign
+#: a coefficient: zero, or a magnitude from 1e-300 to 1.7e308 of either sign
 _WIDE = st.just(0.0) | st.builds(
-    lambda sign, exp, mantissa: sign * mantissa * 10.0**exp,
-    st.sampled_from((-1.0, 1.0)), st.integers(-300, 299), st.floats(1.0, 9.99),
+    lambda sign, exp, mantissa: sign * min(mantissa * 10.0**exp, 1.7e308),
+    st.sampled_from((-1.0, 1.0)), st.integers(-300, 308), st.floats(1.0, 9.99),
 )
+
+
+def _below_overflow(coeffs):
+    """``coeffs`` divided by the power of two of its largest |coefficient|
+    when its scale exceeds 2**128, so that G and the scale stay finite; the
+    division is exact and keeps every root."""
+    if coeffs.scale <= 2.0**128:
+        return coeffs
+    shift = -math.frexp(max(abs(v) for v in coeffs))[1]
+    return type(coeffs)(*(math.ldexp(v, shift) for v in coeffs))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -361,11 +371,37 @@ _WIDE = st.just(0.0) | st.builds(
     5.7460383142769845e-161, -9.461575899813399e299,
 )  # f4^2 + f5^2 overflows
 @example(0.5, -1.0, 1.0, 1.0, 1e-170)  # K = -1e-170 and (P, Q) passes through 0 at b = 1
+@example(1e308, 1e308, 1e308, 1e308, 1e308)  # the scale and G overflow
 def test_envelope_any_finite_magnitudes(f1, f2, f3, f4, f5):
     coeffs = EnvelopeCoeffs(f1, f2, f3, f4, f5)
     rs = solve_envelope(coeffs, TOL)
     assert isinstance(rs, RootSet)
     assert list(rs.roots) == sorted(rs.roots) and len(rs.tangential) == len(rs.roots)
     assert all(0.0 <= r < TWO_PI for r in rs.roots)
-    g = envelope_fn(*coeffs)
-    assert all(abs(g(r)) <= 2.0 * _graze(coeffs) for r in rs.roots)
+    # G of the raw coefficients can overflow to nan; the divided copy cannot.
+    finite = _below_overflow(coeffs)
+    g = envelope_fn(*finite)
+    assert all(abs(g(r)) <= 2.0 * _graze(finite) for r in rs.roots)
+
+
+#: one record of each shape whose roots are simple and well apart
+_UNIT_RECORDS = (
+    EnvelopeCoeffs(1.0, 1.0, 1.0, 1.0, 1.0),
+    SinusoidCoeffs(0.0, 1.0, 1.0),
+    QuadCosCoeffs(1.0, -1.0, 1.0, -1.0),
+)
+_SOLVER = {EnvelopeCoeffs: solve_envelope, SinusoidCoeffs: solve_sinusoid, QuadCosCoeffs: solve_quadcos}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_UNIT_RECORDS), st.floats(1.0, 1.7e308))
+@example(_UNIT_RECORDS[0], 1e308)  # four roots, two of them tangential, where G overflows
+@example(_UNIT_RECORDS[1], 1e308)  # one tangential root, 3.927, for two simple ones
+@example(_UNIT_RECORDS[2], 1e308)  # only the root 0, not 1.655
+def test_magnified_record_keeps_its_roots(unit, factor):
+    # A record times a factor up to near the largest float has its roots.
+    solve = _SOLVER[type(unit)]
+    got = solve(type(unit)(*(v * factor for v in unit)), TOL)
+    want = solve(unit, TOL)
+    assert got.tangential == want.tangential
+    assert got.roots == pytest.approx(want.roots, rel=0.0, abs=1e-12)
