@@ -19,21 +19,23 @@ reconstructs the segment parameters for every root, and keeps only
 candidates whose forward-integrated endpoint actually meets the moving
 target.  Integration is the final arbiter for every emitted candidate.
 
-``_finish`` is the only test of the endpoint: it integrates the schedule and
-applies ``ToleranceSet.accepts`` to the position and heading misses, as
-``planner.validate`` does.  Before it, a solver drops a root only to pick a
-root or a wrap branch, or to keep the schedule valid:
+Each solver proposes (variant, params, schedule) triples and returns
+``_accept`` of them, the one place that decides: it integrates each
+schedule, applies ``ToleranceSet.accepts`` to the position and heading
+misses, as ``planner.validate`` does, and merges near-duplicates.  Before
+it, a solver drops a root only to pick a root or a wrap branch, or to keep
+the schedule valid:
 
 * SC: the final heading must be pi/2, and the straight length not negative;
 * CC: the first arc must lie in [0, 2*pi); in zero wind, the goal must sit
   on the first circle, which gives the one root;
-* CCC: the middle arc must not be degenerate, the total time must be
-  positive, and the wrapped arc sum must match the branch;
+* CCC: the middle arc must not be degenerate, and the wrapped arc sum must
+  match the branch;
 * CSC: the last arc must lie in the root's own wrap branch, and the straight
   length must not be negative.
 
 None of them tests the endpoint again: a second test with a tolerance of its
-own could only reject a path that ``_finish`` accepts, and then residual_tol
+own could only reject a path that ``_accept`` accepts, and then residual_tol
 would no longer be the one bound on the miss.
 
 Derivation conventions used throughout (unit speed, unit radius, first arc
@@ -127,12 +129,8 @@ for _order, _variant in enumerate(Variant):
     _variant.order = _order
 del _order, _variant
 
-_CCC_VARIANT = {  # (sigma, middle arc beyond pi)
-    (-1, False): Variant.RLR_SHORT,
-    (-1, True): Variant.RLR_LONG,
-    (1, False): Variant.LRL_SHORT,
-    (1, True): Variant.LRL_LONG,
-}
+#: (sigma, middle arc beyond pi) -> CCC variant
+_CCC_VARIANT = {(v.sigma, ">" in v.label): v for v in Variant if v.family is Family.CCC}
 
 
 class SegmentParams(NamedTuple):
@@ -157,6 +155,10 @@ class PathCandidate(NamedTuple):
     residual: float
 
 
+#: what a family solver proposes to ``_accept``
+_Proposal = tuple[Variant, SegmentParams, ControlSchedule]
+
+
 def _misses(
     scenario: Scenario, schedule: ControlSchedule, total: float, rho: float
 ) -> tuple[RelativeState, float, float]:
@@ -168,19 +170,35 @@ def _misses(
     return end, math.hypot(end.x - tx, end.y - ty), ang_dist(end.theta, scenario.theta_f)
 
 
-def _finish(
-    scenario: Scenario,
-    variant: Variant,
-    params: SegmentParams,
-    schedule: ControlSchedule,
-) -> PathCandidate | None:
-    """Forward-integrate and accept the candidate only if it meets the moving
-    target in position and heading at its own total time."""
-    total = schedule.total_duration
-    _, residual, heading_error = _misses(scenario, schedule, total, 1.0)
-    if not scenario.tol.accepts(total, residual, heading_error, 1.0):
-        return None
-    return PathCandidate(variant, params, total, schedule, residual)
+_DEDUPE_EPS = 1e-5  # grazing roots are located only to ~sqrt(eps)
+
+
+def _accept(scenario: Scenario, proposals: list[_Proposal]) -> list[PathCandidate]:
+    """The candidates of the (variant, params, schedule) proposals whose
+    forward-integrated schedule meets the moving target in position and
+    heading at its own total time, in proposal order.
+
+    Near-identical ones (same variant, every param within the grazing-root
+    location uncertainty ``_DEDUPE_EPS``) merge into the first one's place,
+    keeping the lower residual; deterministic because solver order is.
+    """
+    out: list[PathCandidate] = []
+    for variant, params, schedule in proposals:
+        total = schedule.total_duration
+        _, residual, heading_error = _misses(scenario, schedule, total, 1.0)
+        if not scenario.tol.accepts(total, residual, heading_error, 1.0):
+            continue
+        cand = PathCandidate(variant, params, total, schedule, residual)
+        for i, kept in enumerate(out):
+            if kept.variant is variant and all(
+                abs(p - q) <= _DEDUPE_EPS for p, q in zip(kept.params, params)
+            ):
+                if residual < kept.residual:
+                    out[i] = cand
+                break
+        else:
+            out.append(cand)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +213,7 @@ def solve_sc(scenario: Scenario) -> list[PathCandidate]:
     d and then flies one full circle back to the same pose.  d follows in
     closed form from the interception identity; whether the target's
     relative track actually passes through (0, d) at that time is left to
-    ``_finish``.
+    ``_accept``.
     """
     tol = scenario.tol
     if ang_dist(scenario.theta_f, HALF_PI) > tol.feas_tol:
@@ -205,13 +223,11 @@ def solve_sc(scenario: Scenario) -> list[PathCandidate]:
     if d < -tol.feas_tol:
         return []
     d = max(d, 0.0)
-    out = []
-    for variant in (Variant.SR2PI, Variant.SL2PI):
-        schedule = ControlSchedule(((0, d), (variant.sigma, TWO_PI)))
-        cand = _finish(scenario, variant, SegmentParams(d=d), schedule)
-        if cand is not None:
-            out.append(cand)
-    return out
+    params = SegmentParams(d=d)
+    return _accept(scenario, [
+        (variant, params, ControlSchedule(((0, d), (variant.sigma, TWO_PI))))
+        for variant in (Variant.SR2PI, Variant.SL2PI)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +239,14 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
 
     The endpoint lies on the first-arc circle, so the interception identity
     squares into a quadratic in the first-arc radian.  Every real root in
-    range goes to ``_finish``, which checks the heading and the endpoint; the
-    global minimum is taken later by the planner.
+    range is proposed to ``_accept``, which checks the heading and the
+    endpoint; the global minimum is taken later by the planner.
     """
     tol = scenario.tol
     wx, wy = scenario.wind.wx, scenario.wind.wy
     X, Y = scenario.target
     ww = wx * wx + wy * wy
-    out = []
+    proposals = []
     for variant in (Variant.RL2PI, Variant.LR2PI):
         sigma = variant.sigma
         cx = -sigma  # first-circle centre (cx, 0)
@@ -251,10 +267,8 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
                 continue
             alpha = max(alpha, 0.0)
             schedule = ControlSchedule(((sigma, alpha), (-sigma, TWO_PI)))
-            cand = _finish(scenario, variant, SegmentParams(alpha=alpha), schedule)
-            if cand is not None:
-                out.append(cand)
-    return _dedupe(out)
+            proposals.append((variant, SegmentParams(alpha=alpha), schedule))
+    return _accept(scenario, proposals)
 
 
 def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
@@ -281,7 +295,7 @@ def _ccc_base(scenario: Scenario, sigma: int, n: int) -> float:
 
 def _ccc_coeffs(
     scenario: Scenario, sigma: int, n: int, trig: tuple[float, float]
-) -> tuple[QuadCosCoeffs, float, float, float]:
+) -> tuple[QuadCosCoeffs, float, float]:
     """Quadratic-plus-cosine coefficients for one orientation and wrap branch.
 
     base = alpha + gamma - beta (``_ccc_base``); the target identity then
@@ -296,7 +310,7 @@ def _ccc_coeffs(
     m = sigma * (X - wx * base) - sin_f + 1.0
     nn = Y - wy * base + sigma * cos_f
     c2 = -4.0 * (sigma * m * wx + nn * wy)
-    return QuadCosCoeffs(4.0 * (wx * wx + wy * wy), c2, 8.0, m * m + nn * nn - 8.0), base, m, nn
+    return QuadCosCoeffs(4.0 * (wx * wx + wy * wy), c2, 8.0, m * m + nn * nn - 8.0), m, nn
 
 
 def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
@@ -306,14 +320,14 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
     For each root beta of the branch equation, the first-arc radian follows
     jointly from the two circle-tangency components (atan2, so no branch
     ambiguity), the third from the heading identity; roots whose wrapped arc
-    sum disagrees with the branch are rejected, everything else is integrated
-    and validated.  Middle arcs too close to 0 or 2*pi are degenerate (the
+    sum disagrees with the branch are rejected, everything else is proposed
+    to ``_accept``.  Middle arcs too close to 0 or 2*pi are degenerate (the
     recovery divides by sin(beta/2)) and are served by other families.
     """
     tol = scenario.tol
     wx, wy = scenario.wind.wx, scenario.wind.wy
     trig = (math.sin(scenario.theta_f), math.cos(scenario.theta_f))
-    out = []
+    proposals = []
     for sigma in (-1, 1):
         head = sigma * (scenario.theta_f - HALF_PI)
         for n in _CCC_BRANCHES:
@@ -325,13 +339,13 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
             lo, hi = max(lo, 0.0), min(hi, TWO_PI)
             if hi <= lo:
                 continue
-            coeffs, _, m, nn = _ccc_coeffs(scenario, sigma, n, trig)
+            coeffs, m, nn = _ccc_coeffs(scenario, sigma, n, trig)
             for beta in solve_quadcos(coeffs, tol, domain=(lo, hi)).roots:
                 if math.sin(0.5 * beta) <= _ZERO_ANGLE_EPS:
                     continue
+                # The total time tau is positive: the window gives beta >=
+                # -base - 1e-9 and the test above beta > 2e-8, so tau > 1.9e-8.
                 tau = base + 2.0 * beta
-                if tau <= 0.0:
-                    continue
                 a_comp = m - 2.0 * sigma * wx * beta
                 b_comp = nn - 2.0 * wy * beta
                 alpha = mod2pi(0.5 * beta + math.atan2(-a_comp, b_comp))
@@ -340,10 +354,8 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
                     continue
                 schedule = ControlSchedule(((sigma, alpha), (-sigma, beta), (sigma, gamma)))
                 params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma)
-                cand = _finish(scenario, _CCC_VARIANT[sigma, beta >= math.pi], params, schedule)
-                if cand is not None:
-                    out.append(cand)
-    return _dedupe(out)
+                proposals.append((_CCC_VARIANT[sigma, beta >= math.pi], params, schedule))
+    return _accept(scenario, proposals)
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +387,17 @@ def _csc_arc_sum(variant: Variant, beta: float, th_f: float, n: int) -> float:
 
 def _csc_root_coeffs(
     scenario: Scenario, variant: Variant, n: int, trig: tuple[float, float]
-) -> tuple[SinusoidCoeffs | EnvelopeCoeffs, tuple[float, float] | None]:
+) -> SinusoidCoeffs | EnvelopeCoeffs:
     """Root-equation coefficients for one CSC variant and wrap branch.
 
     Eliminating the straight length d from the two displacement-balance
     components leaves, for RSR/LSL (arc sum independent of beta), a plain
     sinusoid, and for RSL/LSR a sinusoid with a linear envelope.  The
     coefficients below are the fully expanded cross products; they contain no
-    divisions, so a zero wind component costs nothing.  RSR/LSL also return
-    r: where it vanishes, so does every coefficient, and the balance holds
-    for every beta.  ``trig``: (sin, cos) of theta_f.
+    divisions, so a zero wind component costs nothing.  For RSR/LSL,
+    (e2, -e3) is the balance residual r: where it vanishes, so does every
+    coefficient, and the balance holds for every beta.  ``trig``: (sin, cos)
+    of theta_f.
     """
     wx, wy = scenario.wind.wx, scenario.wind.wy
     sigma, kappa = variant.sigma, variant.kappa
@@ -393,9 +406,9 @@ def _csc_root_coeffs(
     rx = scenario.target_x - s * wx + sigma - kappa * sin_f
     ry = scenario.target_y - s * wy + kappa * cos_f
     if sigma == kappa:
-        return SinusoidCoeffs(rx * wy - ry * wx, rx, -ry), (rx, ry)
+        return SinusoidCoeffs(rx * wy - ry * wx, rx, -ry)
     t = 2.0 * sigma
-    return EnvelopeCoeffs(rx * wy - ry * wx - t, rx - t * wy, -ry - t * wx, -t * wx, t * wy), None
+    return EnvelopeCoeffs(rx * wy - ry * wx - t, rx - t * wy, -ry - t * wx, -t * wx, t * wy)
 
 
 def solve_csc(scenario: Scenario) -> list[PathCandidate]:
@@ -404,14 +417,14 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
 
     Each root fixes the straight heading; the arcs follow by bookkeeping and
     the straight length from the displacement balance against the moving
-    target, solved against its better-conditioned component; ``_finish``
-    checks the whole endpoint.  Roots of another wrap branch and negative
-    lengths are dropped, and the survivors are integrated and validated.
+    target, solved against its better-conditioned component.  Roots of
+    another wrap branch and negative lengths are dropped, and the survivors
+    are proposed to ``_accept``, which checks the whole endpoint.
     """
     tol = scenario.tol
     th_f = scenario.theta_f
     trig = (math.sin(th_f), math.cos(th_f))
-    out = []
+    proposals = []
     for variant in (Variant.RSR, Variant.RSL, Variant.LSR, Variant.LSL):
         for n in _CSC_BRANCHES:
             if variant.sigma == variant.kappa:
@@ -419,27 +432,26 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
                 arc_sum = _csc_arc_sum(variant, 0.0, th_f, n)
                 if arc_sum < 0.0 or arc_sum >= 2.0 * TWO_PI:
                     continue
-                coeffs, (rx0, ry0) = _csc_root_coeffs(scenario, variant, n, trig)
-                scale = tol.feas_tol * (1.0 + abs(rx0) + abs(ry0) + (1.0 + arc_sum))
-                if abs(rx0) <= scale and abs(ry0) <= scale:
+                coeffs = _csc_root_coeffs(scenario, variant, n, trig)
+                rx0, ry0 = abs(coeffs.e2), abs(coeffs.e3)  # |r|, component-wise
+                scale = tol.feas_tol * (1.0 + rx0 + ry0 + (1.0 + arc_sum))
+                if rx0 <= scale and ry0 <= scale:
                     # Identically satisfied balance: the straight segment
                     # vanishes and any split of the (single-direction) arc
-                    # works; emit one canonical split.
-                    cand = _csc_degenerate(scenario, variant, arc_sum)
-                    if cand is not None:
-                        out.append(cand)
+                    # works; propose one canonical split.
+                    proposals.append(_csc_degenerate(variant, arc_sum))
                     continue
                 roots = solve_sinusoid(coeffs, tol).roots
                 window = None
             else:
                 window = _csc_branch_window(variant.sigma, th_f, n)
-                coeffs, _ = _csc_root_coeffs(scenario, variant, n, trig)
+                coeffs = _csc_root_coeffs(scenario, variant, n, trig)
                 roots = solve_envelope(coeffs, tol, domain=window).roots
             for beta in roots:
-                cand = _csc_from_beta(scenario, variant, n, beta, window, trig)
-                if cand is not None:
-                    out.append(cand)
-    return _dedupe(out)
+                proposal = _csc_from_beta(scenario, variant, n, beta, window, trig)
+                if proposal is not None:
+                    proposals.append(proposal)
+    return _accept(scenario, proposals)
 
 
 def _csc_branch_window(sigma: int, th_f: float, n: int) -> tuple[float, float]:
@@ -464,7 +476,9 @@ def _csc_from_beta(
     beta: float,
     window: tuple[float, float] | None,
     trig: tuple[float, float],
-) -> PathCandidate | None:
+) -> _Proposal | None:
+    """The proposal of one root, or None when the root belongs to another
+    wrap branch or gives a negative straight length."""
     tol = scenario.tol
     wx, wy = scenario.wind.wx, scenario.wind.wy
     sigma, kappa = variant.sigma, variant.kappa
@@ -490,39 +504,16 @@ def _csc_from_beta(
         return None
     d = max(d, 0.0)
     schedule = ControlSchedule(((sigma, alpha), (0, d), (kappa, gamma)))
-    params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma, d=d)
-    return _finish(scenario, variant, params, schedule)
+    return variant, SegmentParams(alpha=alpha, beta=beta, gamma=gamma, d=d), schedule
 
 
-def _csc_degenerate(scenario: Scenario, variant: Variant, arc_sum: float) -> PathCandidate | None:
+def _csc_degenerate(variant: Variant, arc_sum: float) -> _Proposal:
     """Balance identically zero for an RSR/LSL branch: d = 0 is forced and the
-    split of the single-direction arc is arbitrary; emit an even split."""
+    split of the single-direction arc is arbitrary; propose an even split."""
     alpha = gamma = 0.5 * arc_sum
     beta = mod2pi(HALF_PI + variant.sigma * alpha)
     schedule = ControlSchedule(((variant.sigma, alpha), (0, 0.0), (variant.kappa, gamma)))
-    params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma)
-    return _finish(scenario, variant, params, schedule)
-
-
-_DEDUPE_EPS = 1e-5  # grazing roots are located only to ~sqrt(eps)
-
-
-def _dedupe(cands: list[PathCandidate]) -> list[PathCandidate]:
-    """Merge near-identical candidates (same variant and segment data within
-    the grazing-root location uncertainty), keeping the lower residual.
-    Deterministic because solver order is."""
-    out: list[PathCandidate] = []
-    for cand in cands:
-        for i, kept in enumerate(out):
-            if kept.variant is cand.variant and all(
-                abs(p - q) <= _DEDUPE_EPS for p, q in zip(kept.params, cand.params)
-            ):
-                if cand.residual < kept.residual:
-                    out[i] = cand
-                break
-        else:
-            out.append(cand)
-    return out
+    return variant, SegmentParams(alpha=alpha, beta=beta, gamma=gamma), schedule
 
 
 def solve_all(scenario: Scenario) -> list[PathCandidate]:

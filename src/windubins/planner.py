@@ -64,7 +64,7 @@ def validate(candidate: PathCandidate, scenario: Scenario) -> ValidationReport:
     """Forward-integrate a candidate exactly and report its terminal residuals.
 
     Position is compared against the moving target at the candidate's total
-    time; the misses and their acceptance are those of ``families._finish``.
+    time; the misses and their acceptance are those of ``families._accept``.
     The interception identity (travel time equals the target's arrival time
     at the endpoint) is reported separately, and equals the position residual
     for zero wind; it needs no check of its own, because by the triangle

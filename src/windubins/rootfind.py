@@ -292,13 +292,10 @@ def solve_quadcos(
             b2 = TWO_PI - b
             if lo < b2 < hi and b2 != b:
                 inflections.append(b2)
-    elif c1 == 0.0:
-        # G' constant: G is linear; handle directly.
-        r = -c4 / c2 if c2 != 0.0 else math.nan
-        return _root_set([(r, False)] if lo <= r < hi else [])
 
-    # G' is monotone between the inflections; no graze, so every root of G'
-    # is one where it changes sign or is exactly zero.
+    # G' is monotone between the inflections (constant when c1 = c3 = 0); no
+    # graze, so every root of G' is one where it changes sign or is exactly
+    # zero.
     stationary = [r for r, _ in _monotone_roots(gp, gp_fused, lo, hi, inflections, -1.0)]
     return _root_set(_monotone_roots(g, g_fused, lo, hi, stationary, graze))
 
@@ -307,8 +304,9 @@ def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet = DEFAULT_TOLERANCE
     """Roots of e1 + e2*sin(b) + e3*cos(b) = 0, analytically.
 
     Writes the oscillating part as R*sin(b + phi) with R = hypot(e2, e3):
-    no roots when |e1| > R, a single grazing root at |e1| = R (within the
-    feasibility slack), and two arcsine branches otherwise.
+    no roots when |e1| > R + graze, a single grazing root when |e1| is
+    within graze of R, and two arcsine branches otherwise.  The band is
+    compared without dividing by R, which a subnormal R would overflow.
     """
     coeffs, scale = _rescaled(coeffs)
     e1, e2, e3 = coeffs
@@ -316,14 +314,13 @@ def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet = DEFAULT_TOLERANCE
     if amp == 0.0:
         return _EMPTY
     phi = math.atan2(e3, e2)
-    s = -e1 / amp
-    band = tol.feas_tol * scale / amp
-    if abs(s) > 1.0 + band:
+    graze = tol.feas_tol * scale
+    if abs(e1) > amp + graze:
         return _EMPTY
-    if abs(s) >= 1.0 - band:
+    if abs(e1) >= amp - graze:
         # Grazing: R*sin(b + phi) = -e1 with |e1| ~ R.
-        return _root_set([(mod2pi(math.copysign(math.pi / 2.0, s) - phi), True)])
-    psi = math.asin(s)
+        return _root_set([(mod2pi(math.copysign(math.pi / 2.0, -e1) - phi), True)])
+    psi = math.asin(-e1 / amp)
     return _root_set([(mod2pi(psi - phi), False), (mod2pi(math.pi - psi - phi), False)])
 
 

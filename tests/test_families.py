@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import windubins.families
 from windubins import (
     ControlSchedule,
     RelativeState,
@@ -19,6 +20,7 @@ from windubins import (
     ToleranceSet,
 )
 from windubins.families import (
+    _DEDUPE_EPS,
     Family,
     _ccc_coeffs,
     _csc_branch_window,
@@ -256,6 +258,29 @@ def test_csc_candidates_intercept():
             assert c.params.d >= 0.0
 
 
+def test_accept_merges_near_duplicates(monkeypatch):
+    # Zero wind, goal (-2, 0), theta_f = 3*pi/2: RSL and LSR each find one
+    # path from two roots about 1e-9 apart.  9 proposals meet the target and
+    # ``_accept`` merges them into 7 candidates.
+    sc = Scenario(wind=WindVector(0.0, 0.0), target_x=-2.0, target_y=0.0,
+                  theta_f=1.5 * math.pi, rho=1.0)
+
+    def near(a, b):
+        return a.variant is b.variant and all(
+            abs(p - q) <= _DEDUPE_EPS for p, q in zip(a.params, b.params)
+        )
+
+    merged = solve_csc(sc)
+    assert len(merged) == 7
+    assert not any(near(a, b) for i, a in enumerate(merged) for b in merged[i + 1:])
+    monkeypatch.setattr(windubins.families, "_DEDUPE_EPS", -1.0)  # merge nothing
+    unmerged = solve_csc(sc)
+    assert len(unmerged) == 9
+    # Each merged candidate is the lowest-residual member of its group.
+    for c in merged:
+        assert c.residual == min(u.residual for u in unmerged if near(c, u))
+
+
 def test_zero_duration_pieces_are_removable():
     # Candidates with degenerate segments stay valid when those segments are
     # dropped outright: the subpattern is the same path.
@@ -285,7 +310,7 @@ def test_csc_coefficients_match_displacement_balance():
         wx, wy = sc.wind.wx, sc.wind.wy
         variant = rng.choice(list(Variant)[-4:])
         n = rng.choice((0, 1, 2))
-        coeffs, _ = _csc_root_coeffs(sc, variant, n, _trig(sc))
+        coeffs = _csc_root_coeffs(sc, variant, n, _trig(sc))
         beta = rng.uniform(0.0, TWO_PI)
         sb, cb = math.sin(beta), math.cos(beta)
         if variant.sigma == -1:
@@ -370,7 +395,7 @@ def test_case1_ccc_coefficients_locked(key, expected):
 @pytest.mark.parametrize("key,expected", sorted(CASE1_CSC_GOLDEN.items()))
 def test_case1_csc_coefficients_locked(key, expected):
     label, n = key
-    coeffs, _ = _csc_root_coeffs(make_case1(), _VARIANT_BY_LABEL[label], n, _trig(make_case1()))
+    coeffs = _csc_root_coeffs(make_case1(), _VARIANT_BY_LABEL[label], n, _trig(make_case1()))
     got = (
         (coeffs.e1, coeffs.e2, coeffs.e3)
         if hasattr(coeffs, "e1")
@@ -389,7 +414,7 @@ def test_case2_ccc_coefficients_locked(key, expected):
 @pytest.mark.parametrize("key,expected", sorted(CASE2_CSC_GOLDEN.items()))
 def test_case2_csc_coefficients_locked(key, expected):
     label, n = key
-    coeffs, _ = _csc_root_coeffs(make_case2(), _VARIANT_BY_LABEL[label], n, _trig(make_case2()))
+    coeffs = _csc_root_coeffs(make_case2(), _VARIANT_BY_LABEL[label], n, _trig(make_case2()))
     got = (
         (coeffs.e1, coeffs.e2, coeffs.e3)
         if hasattr(coeffs, "e1")

@@ -343,10 +343,11 @@ def test_envelope_certificate_is_sound(f2, f3, f4, f5, share, margin, negative, 
         assert len(solve_envelope(coeffs, TOL, domain=(lo, hi))) == 0
 
 
-#: a coefficient: zero, or a magnitude from 1e-300 to 1.7e308 of either sign
+#: a coefficient: zero, or a magnitude from 5e-324 (the smallest subnormal)
+#: to 1.7e308 of either sign
 _WIDE = st.just(0.0) | st.builds(
-    lambda sign, exp, mantissa: sign * min(mantissa * 10.0**exp, 1.7e308),
-    st.sampled_from((-1.0, 1.0)), st.integers(-300, 308), st.floats(1.0, 9.99),
+    lambda sign, exp, mantissa: sign * min(max(mantissa * 10.0**exp, 5e-324), 1.7e308),
+    st.sampled_from((-1.0, 1.0)), st.integers(-324, 308), st.floats(1.0, 9.99),
 )
 
 
@@ -360,6 +361,15 @@ def _below_overflow(coeffs):
     return type(coeffs)(*(math.ldexp(v, shift) for v in coeffs))
 
 
+#: shape -> (coefficient record, solver, G of the record's coefficients)
+_SHAPES = {
+    "quadcos": (QuadCosCoeffs, solve_quadcos, quadcos_fn),
+    "sinusoid": (SinusoidCoeffs, solve_sinusoid, lambda e1, e2, e3: envelope_fn(e1, e2, e3, 0.0, 0.0)),
+    "envelope": (EnvelopeCoeffs, solve_envelope, envelope_fn),
+}
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_WIDE, _WIDE, _WIDE, _WIDE, _WIDE)
 @example(
@@ -372,15 +382,19 @@ def _below_overflow(coeffs):
 )  # f4^2 + f5^2 overflows
 @example(0.5, -1.0, 1.0, 1.0, 1e-170)  # K = -1e-170 and (P, Q) passes through 0 at b = 1
 @example(1e308, 1e308, 1e308, 1e308, 1e308)  # the scale and G overflow
-def test_envelope_any_finite_magnitudes(f1, f2, f3, f4, f5):
-    coeffs = EnvelopeCoeffs(f1, f2, f3, f4, f5)
-    rs = solve_envelope(coeffs, TOL)
+@example(0.79, 5.9e-319, 0.0, 0.0, 0.0)  # sinusoid: subnormal amplitude, G = 0.79, no root
+@example(1e308, 3e-10, 0.0, 0.0, 0.0)  # sinusoid: subnormal amplitude after the rescale
+def test_any_finite_magnitudes(shape, f1, f2, f3, f4, f5):
+    # Each shape takes the first of the five drawn coefficients it needs.
+    record, solve, fn = _SHAPES[shape]
+    coeffs = record(*(f1, f2, f3, f4, f5)[: len(record._fields)])
+    rs = solve(coeffs, TOL)
     assert isinstance(rs, RootSet)
     assert list(rs.roots) == sorted(rs.roots) and len(rs.tangential) == len(rs.roots)
     assert all(0.0 <= r < TWO_PI for r in rs.roots)
     # G of the raw coefficients can overflow to nan; the divided copy cannot.
     finite = _below_overflow(coeffs)
-    g = envelope_fn(*finite)
+    g = fn(*finite)
     assert all(abs(g(r)) <= 2.0 * _graze(finite) for r in rs.roots)
 
 
