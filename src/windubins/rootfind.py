@@ -37,7 +37,11 @@ where the full isolation returns no root either.
   an end of [lo, hi].  No root if |f1| exceeds that plus graze.
 
 Every bracketed solve is a safeguarded Newton iteration polished to machine
-precision.  Stationary points where |G| stays within the feasibility slack
+precision.  A piece is bracketed when G has strictly opposite signs at its
+ends, compared as signs: their product underflows below about 1e-162.  A knot
+where G is exactly zero is a root, grazing unless G has strictly opposite
+signs at the neighbouring knots, and a plain crossing within 1e-6 of the
+domain edge.  Stationary points where |G| stays within the feasibility slack
 are reported separately as tangential roots.
 """
 
@@ -151,19 +155,6 @@ def _root_set(found: list[tuple[float, bool]]) -> RootSet:
     return RootSet(roots, tangential)
 
 
-def _zero_is_grazing(g, x: float, lo: float, hi: float) -> bool:
-    """Classify an exact float zero: grazing when the function keeps one sign
-    on both sides (probing clear of the rounding plateau of a double root).
-    Zeros at the domain edge count as plain crossings."""
-    probe = 1e-6
-    if x - probe < lo or x + probe > hi:
-        return False
-    left, right = g(x - probe), g(x + probe)
-    if left == 0.0 or right == 0.0:
-        return True
-    return (left < 0.0) == (right < 0.0)
-
-
 def _refine(fused, lo: float, hi: float, flo: float) -> float:
     """Safeguarded Newton inside a sign-change bracket.
 
@@ -200,25 +191,31 @@ def _refine(fused, lo: float, hi: float, flo: float) -> float:
 
 
 def _monotone_roots(
-    g, g_fused, lo: float, hi: float, stationary, graze: float
+    fused, lo: float, hi: float, stationary, graze: float
 ) -> list[tuple[float, bool]]:
     """Roots of G on [lo, hi), given every stationary point of G there, as
-    (root, tangential) detections for ``_root_set``.
+    (root, tangential) detections for ``_root_set``.  ``fused(x)`` returns
+    (G(x), G'(x)), the form ``_refine`` takes.
 
     G is monotone between consecutive points of {lo, hi} and ``stationary``,
     so each piece holds at most one sign change, found by a bracketed solve.
-    A knot where G is exactly zero counts once; a stationary point where |G|
-    is within ``graze`` is a tangential (grazing) root.
+    A knot where G is exactly zero counts once: grazing unless G has strictly
+    opposite signs at the two neighbouring knots, which carry its sign on
+    each side because G is monotone there; within 1e-6 of lo or hi it is a
+    plain crossing.  A stationary point where |G| is within ``graze`` is a
+    tangential (grazing) root.
     """
     pts = sorted({lo, hi, *stationary})
-    gvals = [g(p) for p in pts]
+    gvals = [fused(p)[0] for p in pts]
     found = []
     for i in range(len(pts) - 1):
         fa, fb = gvals[i], gvals[i + 1]
         if fa == 0.0:
-            found.append((pts[i], _zero_is_grazing(g, pts[i], lo, hi)))
-        elif fa * fb < 0.0:
-            found.append((_refine(g_fused, pts[i], pts[i + 1], fa), False))
+            x, left = pts[i], gvals[i - 1]  # i = 0 is at lo, so left goes unused
+            edge = x - 1e-6 < lo or x + 1e-6 > hi
+            found.append((x, not (edge or left < 0.0 < fb or fb < 0.0 < left)))
+        elif fa < 0.0 < fb or fb < 0.0 < fa:  # as signs: fa * fb underflows below 1e-162
+            found.append((_refine(fused, pts[i], pts[i + 1], fa), False))
     for p, gv in zip(pts, gvals):
         if p in stationary and abs(gv) <= graze:
             found.append((p, True))
@@ -269,14 +266,8 @@ def solve_quadcos(
     two_c1 = 2.0 * c1
     cos, sin = math.cos, math.sin
 
-    def g(b: float) -> float:
-        return (c1 * b + c2) * b + c3 * cos(b) + c4
-
     def g_fused(b: float) -> tuple[float, float]:
         return (c1 * b + c2) * b + c3 * cos(b) + c4, two_c1 * b + c2 - c3 * sin(b)
-
-    def gp(b: float) -> float:
-        return two_c1 * b + c2 - c3 * sin(b)
 
     def gp_fused(b: float) -> tuple[float, float]:
         return two_c1 * b + c2 - c3 * sin(b), two_c1 - c3 * cos(b)
@@ -296,8 +287,8 @@ def solve_quadcos(
     # G' is monotone between the inflections (constant when c1 = c3 = 0); no
     # graze, so every root of G' is one where it changes sign or is exactly
     # zero.
-    stationary = [r for r, _ in _monotone_roots(gp, gp_fused, lo, hi, inflections, -1.0)]
-    return _root_set(_monotone_roots(g, g_fused, lo, hi, stationary, graze))
+    stationary = [r for r, _ in _monotone_roots(gp_fused, lo, hi, inflections, -1.0)]
+    return _root_set(_monotone_roots(g_fused, lo, hi, stationary, graze))
 
 
 def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet = DEFAULT_TOLERANCES) -> RootSet:
@@ -357,10 +348,6 @@ def solve_envelope(
     f1, f2, f3, f4, f5 = coeffs
     cos, sin = math.cos, math.sin
 
-    def g(b: float) -> float:
-        s, c = sin(b), cos(b)
-        return f1 + f2 * s + f3 * c + b * (f4 * s + f5 * c)
-
     def g_fused(b: float) -> tuple[float, float]:
         s, c = sin(b), cos(b)
         return (
@@ -369,7 +356,7 @@ def solve_envelope(
         )
 
     stationary = _envelope_stationary(coeffs, lo, hi)
-    return _root_set(_monotone_roots(g, g_fused, lo, hi, stationary, graze))
+    return _root_set(_monotone_roots(g_fused, lo, hi, stationary, graze))
 
 
 def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[float]:

@@ -37,22 +37,18 @@ def _rk4_piece(x, y, th, u, dur, rho, step):
         n = 1
     h = dur / n
     k = u / rho
-    for _ in range(n):
-        k1x = math.cos(th)
-        k1y = math.sin(th)
-        th2 = th + 0.5 * h * k
-        k2x = math.cos(th2)
-        k2y = math.sin(th2)
-        th3 = th + 0.5 * h * k
-        k3x = math.cos(th3)
-        k3y = math.sin(th3)
-        th4 = th + h * k
-        k4x = math.cos(th4)
-        k4y = math.sin(th4)
-        x += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        th += h * k
-    return x, y, th
+    # All n steps at once.  np.cumsum adds in sequence, so the headings and
+    # the x and y sums are those of stepping one at a time.
+    ths = np.cumsum(np.concatenate(([th], np.full(n, h * k))))
+    th0 = ths[:-1]
+    th2 = th0 + 0.5 * h * k  # the midpoint heading of stages 2 and 3
+    th4 = th0 + h * k
+    c2, s2 = 2.0 * np.cos(th2), 2.0 * np.sin(th2)
+    dx = h / 6.0 * (np.cos(th0) + c2 + c2 + np.cos(th4))
+    dy = h / 6.0 * (np.sin(th0) + s2 + s2 + np.sin(th4))
+    x = np.cumsum(np.concatenate(([x], dx)))[-1]
+    y = np.cumsum(np.concatenate(([y], dy)))[-1]
+    return float(x), float(y), float(ths[-1])
 
 
 def rk4_integrate(

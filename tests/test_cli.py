@@ -336,17 +336,27 @@ def test_out_into_missing_directory(tmp_path, capsys, mode):
 
 def test_import_skips_dataclasses_and_inspect():
     # Cold start: importing the package and its CLI must not pull in
-    # dataclasses, whose import loads inspect, ast, dis and tokenize.
+    # dataclasses, whose import loads inspect, ast, dis and tokenize.  And no
+    # runtime dependency: every module that importing them and planning case 1
+    # loads is the package's own or the standard library's.  The difference
+    # of sys.modules leaves out what the interpreter's site setup loaded first.
     src = str(pathlib.Path(windubins.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import windubins, windubins.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    code = f"""
+import os, sys
+before = set(sys.modules)
+sys.path.insert(0, {src!r})
+import windubins, windubins.cli
+print(sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
+status = windubins.cli.run(["plan", "--wind", "0.4755,-0.1545", "--target", "5,-2",
+    "--theta-f-deg", "72", "--rho", "1", "--output", "both", "--out", os.devnull])
+allowed = sys.stdlib_module_names | {{"windubins"}}
+print(status, sorted(m for m in set(sys.modules) - before if m.partition(".")[0] not in allowed))
+"""
     proc = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n0 []\n"
 
 
 def test_console_entry_point_subprocess():
@@ -398,3 +408,54 @@ def test_batch_never_raises(tmp_path, capsys, lines):
     assert status in (0, 1, 2)
     assert all(line.startswith("error: ") for line in err.splitlines())
     assert (status == 1) == (err != "")
+
+
+#: the plan flags' ordinary values; each example swaps a few of them for
+#: values of ``_SPECIAL``
+_PLAN_FIELDS = {
+    "wx": st.floats(-0.6, 0.6), "wy": st.floats(-0.6, 0.6),
+    "x": st.floats(-50.0, 50.0), "y": st.floats(-50.0, 50.0),
+    "theta_f_deg": st.floats(-720.0, 720.0), "rho": st.floats(0.01, 20.0),
+    "sx": st.floats(-50.0, 50.0), "sy": st.floats(-50.0, 50.0),
+    "sth_deg": st.floats(-720.0, 720.0),
+    "feas_tol": st.floats(1e-12, 1e-2), "residual_tol": st.floats(1e-12, 1e-2),
+    "sample_dt": st.floats(0.01, 1.0),
+}
+#: the scenario of test_no_feasible_candidate_exit_code: exit 2
+_INFEASIBLE = {
+    "wx": 0.3, "wy": 0.1, "x": 4.0, "y": 2.0, "theta_f_deg": 30.0, "rho": 1.0,
+    "sx": 0.0, "sy": 0.0, "sth_deg": 90.0, "feas_tol": 1e-6, "residual_tol": 1e-30,
+    "sample_dt": 0.1,
+}
+
+
+@settings(
+    max_examples=120, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.fixed_dictionaries(_PLAN_FIELDS),
+    st.dictionaries(st.sampled_from(sorted(_PLAN_FIELDS)), _SPECIAL, max_size=3),
+    st.booleans(),
+)
+@example(_INFEASIBLE, {}, False)
+def test_plan_never_raises(tmp_path, capsys, ordinary, special, with_start):
+    # The plan-mode twin of test_batch_never_raises.  Values go in as
+    # --flag=value, so that argparse reads a negative one as a value.
+    v = {**ordinary, **special}
+    argv = [
+        "plan", f"--wind={v['wx']!r},{v['wy']!r}", f"--target={v['x']!r},{v['y']!r}",
+        f"--theta-f-deg={v['theta_f_deg']!r}", f"--rho={v['rho']!r}",
+        f"--feas-tol={v['feas_tol']!r}", f"--residual-tol={v['residual_tol']!r}",
+        f"--sample-dt={v['sample_dt']!r}", "--output", "both", "--out", str(tmp_path / "out.txt"),
+    ]
+    if with_start:
+        argv.append(f"--start={v['sx']!r},{v['sy']!r},{v['sth_deg']!r}")
+    status, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    if status == 0:
+        assert err == ""
+    elif status == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert status == 2 and err == "no feasible candidate\n"

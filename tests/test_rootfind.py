@@ -21,7 +21,9 @@ from windubins.rootfind import (
     _ROUNDING,
     _envelope_rootless,
     _envelope_stationary,
+    _monotone_roots,
     _quadcos_rootless,
+    _root_set,
 )
 
 from grid_oracle import dense_grid_roots, envelope_fn, match_root_sets, quadcos_fn, simple_roots
@@ -231,6 +233,34 @@ def test_envelope_double_root_at_domain_edge():
     # Same G' with G(0) = 0: G ~ b^2 at the edge, a single root there.
     rs = solve_envelope(EnvelopeCoeffs(2.0, -1.0, -2.0, 0.0, 1.0), TOL)
     assert rs.roots == (0.0,)
+
+
+@pytest.mark.parametrize(
+    "power, zero, tangential",
+    [
+        (3, 1.0, False),  # G changes sign through the zero: a simple root
+        (2, 1.0, True),  # G keeps its sign on both sides: a grazing root
+        (2, 5e-7, False),  # within 1e-6 of lo, a zero counts as a crossing
+    ],
+    ids=["interior-crossing", "interior-grazing", "near-edge"],
+)
+def test_exact_zero_at_a_knot(power, zero, tangential):
+    # G = (b - zero)^power on [0, 2], with its stationary point at the zero,
+    # where G is exactly 0; the neighbouring knots 0 and 2 carry its signs.
+    def fused(b):
+        return (b - zero) ** power, power * (b - zero) ** (power - 1)
+
+    rs = _root_set(_monotone_roots(fused, 0.0, 2.0, [zero], 1e-9))
+    assert rs.roots == (zero,)
+    assert rs.tangential == (tangential,)
+
+
+def test_sign_change_between_tiny_values():
+    # G(0) = 3.4e-227 > 0 > G(2*pi) = -6.2e-206: the product of the two
+    # underflows to -0.0, yet the sign change holds the root c4/|c2|.
+    rs = solve_quadcos(QuadCosCoeffs(0.0, -9.804359110364705e-207, 0.0, 3.393086642190511e-227), TOL)
+    assert rs.tangential == (False,)
+    assert rs.roots[0] == pytest.approx(3.393086642190511e-227 / 9.804359110364705e-207, abs=1e-14)
 
 
 def test_envelope_stationary_points_bounded_and_complete():
