@@ -32,7 +32,8 @@ the schedule valid:
 * CCC: the middle arc must not be degenerate, and the wrapped arc sum must
   match the branch;
 * CSC: the last arc must lie in the root's own wrap branch, and the straight
-  length must not be negative.
+  length must not be negative.  RSR/LSL solve a sinusoid per wrap branch,
+  RSL/LSR an envelope equation on each of two arcs of straight headings.
 
 None of them tests the endpoint again: a second test with a tolerance of its
 own could only reject a path that ``_accept`` accepts, and then residual_tol
@@ -86,7 +87,6 @@ _BRANCH_TOL = 1e-6
 _ZERO_ANGLE_EPS = 1e-8
 
 _CCC_BRANCHES = (-2, -1, 0, 1, 2)
-_CSC_BRANCHES = (0, 1, 2)
 
 
 class Family(enum.Enum):
@@ -180,7 +180,8 @@ def _accept(scenario: Scenario, proposals: list[_Proposal]) -> list[PathCandidat
 
     Near-identical ones (same variant, every param within the grazing-root
     location uncertainty ``_DEDUPE_EPS``) merge into the first one's place,
-    keeping the lower residual; deterministic because solver order is.
+    keeping the lower residual; deterministic because solver order is.  A
+    CSC's beta is a heading, compared modulo 2*pi (CCC's is an arc).
     """
     out: list[PathCandidate] = []
     for variant, params, schedule in proposals:
@@ -189,9 +190,11 @@ def _accept(scenario: Scenario, proposals: list[_Proposal]) -> list[PathCandidat
         if not scenario.tol.accepts(total, residual, heading_error, 1.0):
             continue
         cand = PathCandidate(variant, params, total, schedule, residual)
+        heading = variant.family is Family.CSC
         for i, kept in enumerate(out):
             if kept.variant is variant and all(
-                abs(p - q) <= _DEDUPE_EPS for p, q in zip(kept.params, params)
+                (ang_dist(p, q) if k == 1 and heading else abs(p - q)) <= _DEDUPE_EPS
+                for k, (p, q) in enumerate(zip(kept.params, params))
             ):
                 if residual < kept.residual:
                     out[i] = cand
@@ -362,23 +365,6 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
 # CSC: arc, straight, arc.
 
 
-def _csc_first_arc(
-    variant: Variant, beta: float, window: tuple[float, float] | None
-) -> float:
-    """First arc radians from heading bookkeeping for a straight heading.
-
-    The arc wraps where beta crosses pi/2.  The RSL/LSR branch windows split
-    there, so for their roots the wrap is read at the window's middle: a root
-    on that boundary keeps the empty (0) or full (2*pi) first arc of its own
-    branch, as the last arc does in ``_csc_from_beta``.
-    """
-    turn = variant.sigma * (beta - HALF_PI)
-    if window is None:
-        return mod2pi(turn)
-    mid = variant.sigma * (0.5 * (window[0] + window[1]) - HALF_PI)
-    return max(turn - TWO_PI * math.floor(mid / TWO_PI), 0.0)
-
-
 def _csc_arc_sum(variant: Variant, beta: float, th_f: float, n: int) -> float:
     """alpha + gamma for wrap branch n (beta-free for RSR/LSL, linear otherwise)."""
     sigma, kappa = variant.sigma, variant.kappa
@@ -425,69 +411,83 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
     th_f = scenario.theta_f
     trig = (math.sin(th_f), math.cos(th_f))
     proposals = []
-    for variant in (Variant.RSR, Variant.RSL, Variant.LSR, Variant.LSL):
-        for n in _CSC_BRANCHES:
-            if variant.sigma == variant.kappa:
-                # Arc sum is beta-free; prune branches outside [0, 4*pi).
-                arc_sum = _csc_arc_sum(variant, 0.0, th_f, n)
-                if arc_sum < 0.0 or arc_sum >= 2.0 * TWO_PI:
-                    continue
-                coeffs = _csc_root_coeffs(scenario, variant, n, trig)
-                rx0, ry0 = abs(coeffs.e2), abs(coeffs.e3)  # |r|, component-wise
-                scale = tol.feas_tol * (1.0 + rx0 + ry0 + (1.0 + arc_sum))
-                if rx0 <= scale and ry0 <= scale:
-                    # Identically satisfied balance: the straight segment
-                    # vanishes and any split of the (single-direction) arc
-                    # works; propose one canonical split.
-                    proposals.append(_csc_degenerate(variant, arc_sum))
-                    continue
-                roots = solve_sinusoid(coeffs, tol).roots
-                window = None
-            else:
-                window = _csc_branch_window(variant.sigma, th_f, n)
-                coeffs = _csc_root_coeffs(scenario, variant, n, trig)
-                roots = solve_envelope(coeffs, tol, domain=window).roots
-            for beta in roots:
-                proposal = _csc_from_beta(scenario, variant, n, beta, window, trig)
-                if proposal is not None:
-                    proposals.append(proposal)
-    return _accept(scenario, proposals)
+    for variant in (Variant.RSL, Variant.LSR):
+        for n in (0, 1):
+            c, (a, z), wrap = _csc_branch_window(variant.sigma, th_f, n)
+            coeffs = _csc_rotated(_csc_root_coeffs(scenario, variant, n, trig), c)
+            for b in solve_envelope(coeffs, tol, domain=(max(a, 0.0), min(z, TWO_PI))).roots:
+                for v in (b, b + variant.sigma * TWO_PI):  # every point of the arc at this heading
+                    if a <= v <= z:
+                        alpha = max(variant.sigma * (c + v - HALF_PI) - wrap, 0.0)
+                        proposals.append(_csc_from_beta(scenario, variant, n, c + v, alpha, trig))
+    for variant in (Variant.RSR, Variant.LSL):
+        for n in (0, 1, 2):
+            # Arc sum is beta-free; prune branches outside [0, 4*pi).
+            arc_sum = _csc_arc_sum(variant, 0.0, th_f, n)
+            if arc_sum < 0.0 or arc_sum >= 2.0 * TWO_PI:
+                continue
+            coeffs = _csc_root_coeffs(scenario, variant, n, trig)
+            rx0, ry0 = abs(coeffs.e2), abs(coeffs.e3)  # |r|, component-wise
+            scale = tol.feas_tol * (1.0 + rx0 + ry0 + (1.0 + arc_sum))
+            if rx0 <= scale and ry0 <= scale:
+                # Identically satisfied balance: the straight segment
+                # vanishes and any split of the (single-direction) arc
+                # works; propose one canonical split.
+                proposals.append(_csc_degenerate(variant, arc_sum))
+                continue
+            for beta in solve_sinusoid(coeffs, tol).roots:
+                alpha = mod2pi(variant.sigma * (beta - HALF_PI))
+                proposals.append(_csc_from_beta(scenario, variant, n, beta, alpha, trig))
+    return _accept(scenario, [p for p in proposals if p is not None])
 
 
-def _csc_branch_window(sigma: int, th_f: float, n: int) -> tuple[float, float]:
-    """Beta interval on which the wrap count of the two arcs of RSL/LSR
-    equals n.
+def _csc_branch_window(sigma: int, th_f: float, n: int) -> tuple[float, tuple[float, float], float]:
+    """The arc of straight headings on which RSL (sigma = -1) or LSR
+    (sigma = 1) solves its branch-n equation, n = 0 or 1: the heading c it is
+    measured from, the arc as an interval of b - c, and the whole turns
+    (0 or -2*pi) that mod 2*pi takes off sigma*(b - pi/2) on it.
 
-    For RSL (sigma = -1) the count is [beta > pi/2] + [beta > theta_f]; LSR
-    mirrors it.  The windows partition [0, 2*pi), so each branch equation
-    only needs its own slice (padded against boundary roots; the arc-sum
-    filter still arbitrates exactly).  The edges are sorted in [0, 2*pi] and
-    padded by 1e-9, so no window is empty.
+    Only the first arc's wrap at pi/2 and the last arc's at theta_f cut the
+    circle of headings, into two arcs, padded by 1e-9 against boundary roots
+    (the arc-sum filter arbitrates).  Between the cuts the wrap count is 1,
+    and b is the heading itself (c = 0) in [0, 2*pi].  Across heading 0 it
+    goes from 0 to 2, but branch 2's equation at b is branch 0's at
+    b + 2*sigma*pi: one arc of branch 0 in the unwrapped heading.  The root
+    finder covers b - c in [0, 2*pi); where the arc is longer (theta_f within
+    1e-9 of pi/2), that turn holds its branch-0 end, whose paths are 4*pi
+    shorter, and the rest lies 2*sigma*pi from a point of it.
     """
-    edges = (0.0, min(HALF_PI, th_f), max(HALF_PI, th_f), TWO_PI)
-    k = n if sigma == -1 else 2 - n
-    return (max(0.0, edges[k] - 1e-9), min(TWO_PI, edges[k + 1] + 1e-9))
+    m1, m2 = min(HALF_PI, th_f), max(HALF_PI, th_f)
+    if n:  # sigma*(b - pi/2) < 0 between the cuts when sigma*(theta_f - pi/2) < 0
+        wrap = -TWO_PI if sigma * (th_f - HALF_PI) < 0.0 else 0.0
+        return 0.0, (max(m1 - 1e-9, 0.0), min(m2 + 1e-9, TWO_PI)), wrap
+    lo, hi = (m2 - TWO_PI - 1e-9, m1 + 1e-9) if sigma < 0 else (m2 - 1e-9, m1 + TWO_PI + 1e-9)
+    c = max(lo, hi - TWO_PI) if sigma < 0 else lo  # RSL's branch-0 end is its end
+    return c, (lo - c, hi - c), 0.0
+
+
+def _csc_rotated(coeffs: EnvelopeCoeffs, c: float) -> EnvelopeCoeffs:
+    """The envelope equation in b' = b - c: G'(b') = G(c + b').  With
+    a = f2 + c*f4 and e = f3 + c*f5, each pair (p, q) of sine and cosine
+    coefficients becomes (p*cos c - q*sin c, p*sin c + q*cos c)."""
+    f1, f2, f3, f4, f5 = coeffs
+    s, co = math.sin(c), math.cos(c)
+    a, e = f2 + c * f4, f3 + c * f5
+    return EnvelopeCoeffs(f1, a * co - e * s, a * s + e * co, f4 * co - f5 * s, f4 * s + f5 * co)
 
 
 def _csc_from_beta(
-    scenario: Scenario,
-    variant: Variant,
-    n: int,
-    beta: float,
-    window: tuple[float, float] | None,
-    trig: tuple[float, float],
+    scenario: Scenario, variant: Variant, n: int, beta: float, alpha: float, trig: tuple[float, float]
 ) -> _Proposal | None:
-    """The proposal of one root, or None when the root belongs to another
-    wrap branch or gives a negative straight length."""
+    """The proposal of a root at straight heading beta and first arc alpha, or
+    None when it belongs to another wrap branch or gives a negative length."""
     tol = scenario.tol
     wx, wy = scenario.wind.wx, scenario.wind.wy
     sigma, kappa = variant.sigma, variant.kappa
-    th_f = scenario.theta_f
-    alpha = _csc_first_arc(variant, beta, window)
     # The last arc comes from the branch's arc sum, not from mod2pi: a root on
     # a branch boundary then gets the full turn (2*pi) or the empty one (0)
     # that its own branch implies.
-    gamma = _csc_arc_sum(variant, beta, th_f, n) - alpha
+    gamma = _csc_arc_sum(variant, beta, scenario.theta_f, n) - alpha
     if not -_BRANCH_TOL <= gamma <= TWO_PI + _BRANCH_TOL:
         return None  # root belongs to a different wrap branch
     gamma = max(gamma, 0.0)
@@ -504,7 +504,7 @@ def _csc_from_beta(
         return None
     d = max(d, 0.0)
     schedule = ControlSchedule(((sigma, alpha), (0, d), (kappa, gamma)))
-    return variant, SegmentParams(alpha=alpha, beta=beta, gamma=gamma, d=d), schedule
+    return variant, SegmentParams(alpha=alpha, beta=mod2pi(beta), gamma=gamma, d=d), schedule
 
 
 def _csc_degenerate(variant: Variant, arc_sum: float) -> _Proposal:

@@ -25,6 +25,7 @@ from windubins.families import (
     _ccc_coeffs,
     _csc_branch_window,
     _csc_root_coeffs,
+    _csc_rotated,
 )
 from windubins.geometry import HALF_PI, TWO_PI, ang_dist
 
@@ -259,9 +260,9 @@ def test_csc_candidates_intercept():
 
 
 def test_accept_merges_near_duplicates(monkeypatch):
-    # Zero wind, goal (-2, 0), theta_f = 3*pi/2: RSL and LSR each find one
-    # path from two roots about 1e-9 apart.  9 proposals meet the target and
-    # ``_accept`` merges them into 7 candidates.
+    # Zero wind, goal (-2, 0), theta_f = 3*pi/2: RSL and LSR find paths from
+    # double roots at the cuts, some from two roots about 1e-9 apart.  10
+    # proposals meet the target and ``_accept`` merges them into 7 candidates.
     sc = Scenario(wind=WindVector(0.0, 0.0), target_x=-2.0, target_y=0.0,
                   theta_f=1.5 * math.pi, rho=1.0)
 
@@ -275,10 +276,25 @@ def test_accept_merges_near_duplicates(monkeypatch):
     assert not any(near(a, b) for i, a in enumerate(merged) for b in merged[i + 1:])
     monkeypatch.setattr(windubins.families, "_DEDUPE_EPS", -1.0)  # merge nothing
     unmerged = solve_csc(sc)
-    assert len(unmerged) == 9
+    assert len(unmerged) == 10
     # Each merged candidate is the lowest-residual member of its group.
     for c in merged:
         assert c.residual == min(u.residual for u in unmerged if near(c, u))
+
+
+@pytest.mark.parametrize(
+    "goal, variant, time", [((-2.0, -2.0), Variant.LSR, 3.0 * math.pi), ((2.0, 2.0), Variant.RSL, math.pi)]
+)
+def test_accept_merges_a_csc_path_across_heading_zero(goal, variant, time):
+    # Still air, theta_f = pi/2: the double root at straight heading 0 = 2*pi
+    # lies inside branch 0's arc, and rounding splits it into two roots about
+    # 1e-8 apart, one on each side.  Their betas differ by nearly 2*pi, but
+    # as headings they are 1e-8 apart: one path, which ``_accept`` keeps once.
+    sc = Scenario(wind=WindVector(0.0, 0.0), target_x=goal[0], target_y=goal[1], theta_f=HALF_PI, rho=1.0)
+    found = [c for c in solve_csc(sc) if c.variant is variant]
+    assert len(found) == 1
+    assert found[0].total_time == pytest.approx(time, abs=1e-12)
+    assert ang_dist(found[0].params.beta, 0.0) < 1e-8
 
 
 def test_zero_duration_pieces_are_removable():
@@ -423,13 +439,93 @@ def test_case2_csc_coefficients_locked(key, expected):
     assert got == expected
 
 
+def _envelope(coeffs, b):
+    """G of an envelope record at b, and the sum of |term| (its rounding scale)."""
+    f1, f2, f3, f4, f5 = coeffs
+    terms = (f1, f2 * math.sin(b), f3 * math.cos(b), b * f4 * math.sin(b), b * f5 * math.cos(b))
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def test_csc_branch_two_is_branch_zero_shifted_by_a_turn():
+    # solve_csc joins RSL/LSR's branches 0 and 2 into one equation because
+    # G_2(b) = G_0(b + 2*sigma*pi): the branch enters only as a shift of b.
+    rng = random.Random(15)
+    for _ in range(200):
+        sc = random_scenario(rng, w_max=0.95)
+        for variant in (Variant.RSL, Variant.LSR):
+            g0 = _csc_root_coeffs(sc, variant, 0, _trig(sc))
+            g2 = _csc_root_coeffs(sc, variant, 2, _trig(sc))
+            b = rng.uniform(0.0, TWO_PI)
+            value2, scale2 = _envelope(g2, b)
+            value0, scale0 = _envelope(g0, b + 2.0 * variant.sigma * math.pi)
+            assert value2 == pytest.approx(value0, abs=1e-12 * max(scale0, scale2))
+
+
+def test_csc_rotated_equation_is_the_shifted_one():
+    # The equation each RSL/LSR arc is solved with, in the heading measured
+    # from the arc's c, at b' equals the unrotated one at c + b'.
+    rng = random.Random(16)
+    for _ in range(200):
+        sc = random_scenario(rng, w_max=0.95)
+        variant = rng.choice((Variant.RSL, Variant.LSR))
+        n = rng.choice((0, 1))
+        coeffs = _csc_root_coeffs(sc, variant, n, _trig(sc))
+        c, (lo, hi), _ = _csc_branch_window(variant.sigma, sc.theta_f, n)
+        rotated = _csc_rotated(coeffs, c)
+        for b in (lo, hi, rng.uniform(lo, hi)):
+            value, scale = _envelope(rotated, b)
+            expected, expected_scale = _envelope(coeffs, c + b)
+            assert value == pytest.approx(expected, abs=1e-12 * max(scale, expected_scale))
+
+
 def test_csc_branch_windows_cover_the_circle():
-    # solve_csc solves each RSL/LSR branch equation on its window alone, so
-    # the three windows must be non-empty and together cover [0, 2*pi).
+    # solve_csc solves each RSL/LSR equation on one arc of straight headings
+    # alone.  The two arcs must start and end within their 1e-9 padding of a
+    # cut (pi/2, where the first arc wraps, or theta_f, where the last does)
+    # and together make one full turn.  The root finder covers an arc's part
+    # in [0, 2*pi), which must be non-empty; any other point of the arc is
+    # one turn, 2*sigma*pi, from a point of that part, where solve_csc
+    # proposes its roots again.  Along each arc, sigma*(b - pi/2) less the
+    # returned whole turns is the first arc, in [0, 2*pi] up to the padding.
+    pad = 1e-9
     rng = random.Random(7)
-    for th_f in [0.0, HALF_PI, math.pi, 1.5 * math.pi] + [rng.uniform(0.0, TWO_PI) for _ in range(200)]:
+    near_half_pi = [HALF_PI - 0.5 * pad, HALF_PI + 0.5 * pad, HALF_PI + 3 * pad]
+    th_fs = [0.0, HALF_PI, math.pi, 1.5 * math.pi, *near_half_pi]
+    for th_f in th_fs + [rng.uniform(0.0, TWO_PI) for _ in range(200)]:
         for sigma in (-1, 1):
-            windows = sorted(_csc_branch_window(sigma, th_f, n) for n in (0, 1, 2))
-            assert all(lo < hi for lo, hi in windows)
-            assert windows[0][0] == 0.0 and windows[-1][1] == TWO_PI
-            assert all(nxt[0] <= prev[1] for prev, nxt in zip(windows, windows[1:]))
+            arcs = [_csc_branch_window(sigma, th_f, n) for n in (0, 1)]
+            for c, (a, z), wrap in arcs:
+                assert max(a, 0.0) < min(z, TWO_PI)
+                for end in (c + a, c + z):
+                    assert min(ang_dist(end, HALF_PI), ang_dist(end, th_f)) <= pad + 1e-12
+                for v in (a, 0.5 * (a + z), z, rng.uniform(a, z)):
+                    inside = v if -1e-12 <= v <= TWO_PI + 1e-12 else v - sigma * TWO_PI
+                    assert -1e-12 <= inside <= TWO_PI + 1e-12
+                    alpha = sigma * (c + v - HALF_PI) - wrap
+                    assert -2 * pad <= alpha <= TWO_PI + 2 * pad
+            total = sum(z - a for _, (a, z), _ in arcs)
+            assert TWO_PI - 1e-12 <= total <= TWO_PI + 4 * pad + 1e-12
+
+
+def test_equations_per_plan(monkeypatch):
+    # Root solves per plan: one quadcos per CCC branch window (6; 8 at
+    # theta_f = pi/2, where two more windows shrink to their padding but stay
+    # non-empty), a sinusoid per RSR/LSL branch whose arc sum lies in
+    # [0, 4*pi) (at most 4), and one envelope per RSL/LSR arc (exactly 4).
+    counts = {}
+    for name in ("solve_quadcos", "solve_sinusoid", "solve_envelope"):
+        def counted(*args, _solve=getattr(windubins.families, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(windubins.families, name, counted)
+    zero_wind = Scenario(
+        wind=WindVector(0.0, 0.0), target_x=4.0, target_y=3.0, theta_f=math.radians(30.0), rho=1.0
+    )
+    half_pi = Scenario(wind=WindVector(0.2, -0.1), target_x=3.0, target_y=4.0, theta_f=HALF_PI, rho=1.0)
+    for sc, quadcos in ((make_case1(), 6), (make_case2(), 6), (zero_wind, 6), (half_pi, 8)):
+        counts.update(solve_quadcos=0, solve_sinusoid=0, solve_envelope=0)
+        assert windubins.planner.plan(sc).feasible
+        assert counts["solve_quadcos"] == quadcos
+        assert counts["solve_sinusoid"] <= 4
+        assert counts["solve_envelope"] == 4

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windubins import (
     ControlSchedule,
@@ -16,7 +18,7 @@ from windubins import (
     sample,
     validate,
 )
-from windubins.geometry import HALF_PI, TWO_PI
+from windubins.geometry import HALF_PI, TWO_PI, mod2pi
 
 from conftest import (
     CASE1_TIMES,
@@ -262,6 +264,67 @@ def test_scale_covariance():
         for t, ts in zip(times, stimes):
             assert ts == pytest.approx(t * k, rel=1e-9)
         assert sres.best.variant is res.best.variant
+
+
+#: a coordinate in turn radii; 0 or at least 1e-9 in size, so that scaling
+#: it by 2**-4 stays exact (no subnormal)
+_COORD = st.floats(-30.0, 30.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-9)
+_ANGLE = st.floats(0.0, TWO_PI, exclude_max=True)
+
+
+def _wind(speed, bearing):
+    return WindVector(speed * math.cos(bearing), speed * math.sin(bearing))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.floats(0.0, 0.95), _ANGLE, _COORD, _COORD, _ANGLE,
+    st.tuples(_COORD, _COORD, _ANGLE), st.floats(0.25, 4.0), st.integers(-4, 4),
+)
+def test_scale_covariance_by_powers_of_two(speed, bearing, x, y, theta_f, start, rho, k):
+    # Scaling goal, start and rho by 2**k scales every length exactly, so
+    # the unit-radius problem the families solve is the same bit for bit:
+    # the same candidates, with times exactly 2**k times the base ones.
+    f = 2.0**k
+    base = Scenario(wind=_wind(speed, bearing), target_x=x, target_y=y, theta_f=theta_f, rho=rho, start=start)
+    scaled = base._replace(
+        target_x=x * f, target_y=y * f, rho=rho * f, start=(start[0] * f, start[1] * f, start[2])
+    )
+    res, sres = plan(base), plan(scaled)
+    assert [c.variant for c in sres.all_candidates] == [c.variant for c in res.all_candidates]
+    assert [c.total_time for c in sres.all_candidates] == [c.total_time * f for c in res.all_candidates]
+    assert sres.t_f == res.t_f * f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.floats(0.0, 0.95), _ANGLE, _COORD, _COORD, _ANGLE,
+    st.tuples(_COORD, _COORD, _ANGLE), st.sampled_from((0.5, 1.0, 2.5)),
+)
+def test_rigid_motion_covariance(speed, bearing, x, y, theta_f, pose, rho):
+    # The same problem posed from a moved and turned start pose, with goal,
+    # goal heading and wind moved along, has the same fastest time; its
+    # label may differ only where another label ties within 1e-9.
+    base = Scenario(wind=_wind(speed, bearing), target_x=x, target_y=y, theta_f=theta_f, rho=rho)
+    turn = pose[2] - HALF_PI
+    c, s = math.cos(turn), math.sin(turn)
+    moved = Scenario(
+        wind=_wind(speed, bearing + turn),
+        target_x=pose[0] + c * x - s * y,
+        target_y=pose[1] + s * x + c * y,
+        theta_f=mod2pi(theta_f + turn),
+        rho=rho,
+        start=pose,
+    )
+    res, mres = plan(base), plan(moved)
+    assert mres.feasible == res.feasible
+    if not res.feasible:
+        return
+    slack = 1e-9 * (1.0 + res.t_f)
+    assert abs(mres.t_f - res.t_f) <= slack
+    if mres.best.variant is not res.best.variant:
+        tied = [c.total_time for c in res.all_candidates if c.variant is mres.best.variant]
+        assert tied and min(tied) <= res.t_f + slack
 
 
 def test_tolerances_in_turn_radii():
