@@ -9,23 +9,14 @@ returns the global minimum together with every feasible candidate.
 from .families import (
     Family,
     PathCandidate,
-    SegmentParams,
     Variant,
-    solve_all,
-    solve_cc,
-    solve_ccc,
-    solve_csc,
-    solve_sc,
 )
 from .geometry import (
     ControlSchedule,
-    RelativeState,
     Scenario,
     ToleranceSet,
     WindVector,
-    integrate,
     normalize,
-    target_relative,
 )
 from .planner import (
     PlanResult,
@@ -45,8 +36,6 @@ from .rootfind import (
     solve_sinusoid,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "ControlSchedule",
     "EnvelopeCoeffs",
@@ -54,28 +43,19 @@ __all__ = [
     "PathCandidate",
     "PlanResult",
     "QuadCosCoeffs",
-    "RelativeState",
     "RootSet",
     "Scenario",
-    "SegmentParams",
     "SinusoidCoeffs",
     "ToleranceSet",
     "TrajectoryPoint",
     "ValidationReport",
     "Variant",
     "WindVector",
-    "integrate",
     "normalize",
     "plan",
     "sample",
-    "solve_all",
-    "solve_cc",
-    "solve_ccc",
-    "solve_csc",
     "solve_envelope",
     "solve_quadcos",
-    "solve_sc",
     "solve_sinusoid",
-    "target_relative",
     "validate",
 ]

@@ -225,7 +225,7 @@ def solve_sc(scenario: Scenario) -> list[PathCandidate]:
     d = (scenario.target_y - TWO_PI * wy) / (1.0 + wy)
     if d < -tol.feas_tol:
         return []
-    d = max(d, 0.0)
+    d = max(0.0, d)
     params = SegmentParams(d=d)
     return _accept(scenario, [
         (variant, params, ControlSchedule(((0, d), (variant.sigma, TWO_PI))))
@@ -268,7 +268,7 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
         for alpha in roots:
             if not (-tol.feas_tol <= alpha < TWO_PI):
                 continue
-            alpha = max(alpha, 0.0)
+            alpha = max(0.0, alpha)
             schedule = ControlSchedule(((sigma, alpha), (-sigma, TWO_PI)))
             proposals.append((variant, SegmentParams(alpha=alpha), schedule))
     return _accept(scenario, proposals)
@@ -339,7 +339,7 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
             base = _ccc_base(scenario, sigma, n)
             lo = max(0.0, -base, -0.5 * base) - 1e-9
             hi = min(TWO_PI, 2.0 * TWO_PI - base) + 1e-9
-            lo, hi = max(lo, 0.0), min(hi, TWO_PI)
+            lo, hi = max(0.0, lo), min(hi, TWO_PI)
             if hi <= lo:
                 continue
             coeffs, m, nn = _ccc_coeffs(scenario, sigma, n, trig)
@@ -415,10 +415,10 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
         for n in (0, 1):
             c, (a, z), wrap = _csc_branch_window(variant.sigma, th_f, n)
             coeffs = _csc_rotated(_csc_root_coeffs(scenario, variant, n, trig), c)
-            for b in solve_envelope(coeffs, tol, domain=(max(a, 0.0), min(z, TWO_PI))).roots:
+            for b in solve_envelope(coeffs, tol, domain=(max(0.0, a), min(z, TWO_PI))).roots:
                 for v in (b, b + variant.sigma * TWO_PI):  # every point of the arc at this heading
                     if a <= v <= z:
-                        alpha = max(variant.sigma * (c + v - HALF_PI) - wrap, 0.0)
+                        alpha = max(0.0, variant.sigma * (c + v - HALF_PI) - wrap)
                         proposals.append(_csc_from_beta(scenario, variant, n, c + v, alpha, trig))
     for variant in (Variant.RSR, Variant.LSL):
         for n in (0, 1, 2):
@@ -460,7 +460,7 @@ def _csc_branch_window(sigma: int, th_f: float, n: int) -> tuple[float, tuple[fl
     m1, m2 = min(HALF_PI, th_f), max(HALF_PI, th_f)
     if n:  # sigma*(b - pi/2) < 0 between the cuts when sigma*(theta_f - pi/2) < 0
         wrap = -TWO_PI if sigma * (th_f - HALF_PI) < 0.0 else 0.0
-        return 0.0, (max(m1 - 1e-9, 0.0), min(m2 + 1e-9, TWO_PI)), wrap
+        return 0.0, (max(0.0, m1 - 1e-9), min(m2 + 1e-9, TWO_PI)), wrap
     lo, hi = (m2 - TWO_PI - 1e-9, m1 + 1e-9) if sigma < 0 else (m2 - 1e-9, m1 + TWO_PI + 1e-9)
     c = max(lo, hi - TWO_PI) if sigma < 0 else lo  # RSL's branch-0 end is its end
     return c, (lo - c, hi - c), 0.0
@@ -490,7 +490,7 @@ def _csc_from_beta(
     gamma = _csc_arc_sum(variant, beta, scenario.theta_f, n) - alpha
     if not -_BRANCH_TOL <= gamma <= TWO_PI + _BRANCH_TOL:
         return None  # root belongs to a different wrap branch
-    gamma = max(gamma, 0.0)
+    gamma = max(0.0, gamma)
     arc_time = alpha + gamma
     sb, cb = math.sin(beta), math.cos(beta)
     # Balance: goal - arc_time*w minus the first-arc end -sigma*(1 - sin b, cos b)
@@ -502,7 +502,7 @@ def _csc_from_beta(
     d = rx / dx if abs(dx) >= abs(dy) else ry / dy
     if d < -tol.feas_tol * (1.0 + arc_time):
         return None
-    d = max(d, 0.0)
+    d = max(0.0, d)
     schedule = ControlSchedule(((sigma, alpha), (0, d), (kappa, gamma)))
     return variant, SegmentParams(alpha=alpha, beta=mod2pi(beta), gamma=gamma, d=d), schedule
 

@@ -118,7 +118,7 @@ def sample(candidate: PathCandidate, dt: float, scenario: Scenario) -> list[Traj
 
     Rows carry the air-relative pose (in the caller's frame) and the inertial
     position; the control column holds the control active on [t_k, t_{k+1}),
-    so re-integrating it row by row reproduces the pose columns exactly.
+    so re-integrating it row by row reproduces the pose columns to rounding.
     Raises ValueError when dt is not positive and finite, or when it would
     give more than ``MAX_SAMPLE_ROWS`` rows.
     """

@@ -206,7 +206,7 @@ def test_batch_bad_line(tmp_path, capsys):
     assert "line 1" in err
 
 
-@pytest.mark.parametrize("line", ["0.1 0.2 nan 1 10 1", "0.1 0.2 1e300 1 10 1"])
+@pytest.mark.parametrize("line", ["0.1 0.2 nan 1 10 1", "0.1 0.2 1e300 1 10 1", "0 0 x 1 10 1"])
 def test_batch_out_of_domain_line(tmp_path, capsys, line):
     path = tmp_path / "scenarios.txt"
     path.write_text(line + "\n")
@@ -217,7 +217,14 @@ def test_batch_out_of_domain_line(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--sample-dt", "1e-320"), ("--sample-dt", "inf"), ("--feas-tol", "inf")]
+    "flag, value",
+    [
+        ("--sample-dt", "1e-320"),
+        ("--sample-dt", "inf"),
+        ("--feas-tol", "inf"),
+        ("--wind", "1"),  # one number where two are expected
+        ("--rho", "abc"),
+    ],
 )
 def test_plan_rejects_bad_step_or_tolerance(capsys, flag, value):
     status, out, err = run_cli(
@@ -357,6 +364,20 @@ print(status, sorted(m for m in set(sys.modules) - before if m.partition(".")[0]
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n0 []\n"
+
+
+def test_public_names_are_the_contract():
+    # A name is public when the README, bench/ or the CLI uses it, or when it
+    # is the type of a documented return value; the rest is importable from
+    # its module but is not part of the contract.
+    assert sorted(windubins.__all__) == [
+        "ControlSchedule", "EnvelopeCoeffs", "Family", "PathCandidate", "PlanResult",
+        "QuadCosCoeffs", "RootSet", "Scenario", "SinusoidCoeffs", "ToleranceSet",
+        "TrajectoryPoint", "ValidationReport", "Variant", "WindVector", "normalize",
+        "plan", "sample", "solve_envelope", "solve_quadcos", "solve_sinusoid", "validate",
+    ]
+    for name in windubins.__all__:
+        assert getattr(windubins, name).__module__.startswith("windubins.")
 
 
 def test_console_entry_point_subprocess():

@@ -6,18 +6,11 @@ import pytest
 import windubins.families
 from windubins import (
     ControlSchedule,
-    RelativeState,
     Scenario,
     Variant,
     WindVector,
-    integrate,
-    solve_all,
-    solve_cc,
-    solve_ccc,
-    solve_csc,
-    solve_sc,
-    target_relative,
     ToleranceSet,
+    plan,
 )
 from windubins.families import (
     _DEDUPE_EPS,
@@ -26,8 +19,13 @@ from windubins.families import (
     _csc_branch_window,
     _csc_root_coeffs,
     _csc_rotated,
+    solve_all,
+    solve_cc,
+    solve_ccc,
+    solve_csc,
+    solve_sc,
 )
-from windubins.geometry import HALF_PI, TWO_PI, ang_dist
+from windubins.geometry import HALF_PI, TWO_PI, RelativeState, ang_dist, integrate, target_relative
 
 from conftest import (
     CASE1_TIMES,
@@ -95,8 +93,6 @@ def test_sc_zero_wind_degenerate_emitted_but_dominated():
     assert cands[0].params.d == pytest.approx(5.0, abs=1e-12)
     assert cands[0].total_time == pytest.approx(5.0 + TWO_PI, abs=1e-12)
     # The straight-only member of the arc-straight-arc family wins instead.
-    from windubins import plan
-
     result = plan(sc)
     assert result.t_f == pytest.approx(5.0, abs=1e-9)
     assert result.best.variant.family is Family.CSC
@@ -238,6 +234,17 @@ def test_csc_pure_straight_subpattern():
         assert c.params.alpha == pytest.approx(0.0, abs=1e-9)
         assert c.params.gamma == pytest.approx(0.0, abs=1e-9)
         assert c.params.d == pytest.approx(10.0, abs=1e-9)
+
+
+def test_clamped_params_are_never_negative_zero():
+    # RSL at a heading of exactly pi/2 computes its first arc as -0.0; the
+    # clamp must return +0.0, or the CLI prints "-0.000000".
+    sc = Scenario(wind=WindVector(0.0, 0.0), target_x=0.0, target_y=10.0,
+                  theta_f=HALF_PI, rho=1.0)
+    cands = plan(sc).all_candidates
+    assert any(c.variant is Variant.RSL for c in cands)
+    for c in cands:
+        assert all(math.copysign(1.0, p) > 0.0 for p in c.params), (c.variant, c.params)
 
 
 def test_candidates_use_at_most_three_pieces():

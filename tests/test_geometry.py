@@ -6,18 +6,25 @@ import pytest
 from windubins import (
     ControlSchedule,
     PathCandidate,
-    RelativeState,
     Scenario,
-    SegmentParams,
     ToleranceSet,
     Variant,
     WindVector,
-    integrate,
     normalize,
     sample,
+)
+from windubins.families import SegmentParams
+from windubins.geometry import (
+    HALF_PI,
+    TWO_PI,
+    RelativeState,
+    ang_dist,
+    integrate,
+    mod2pi,
+    propagate,
+    state_at,
     target_relative,
 )
-from windubins.geometry import HALF_PI, TWO_PI, mod2pi, ang_dist, propagate, state_at
 
 from conftest import make_case1_rounded
 from oracle import rk4_integrate

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from windubins import ControlSchedule, RelativeState, Scenario, WindVector, integrate, plan
-from windubins.geometry import HALF_PI, TWO_PI, ang_dist
+from windubins import ControlSchedule, Scenario, WindVector, plan
+from windubins.geometry import HALF_PI, TWO_PI, RelativeState, ang_dist, integrate
 
 from oracle import (
     GridSpec,

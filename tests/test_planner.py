@@ -10,7 +10,6 @@ from windubins import (
     Family,
     PathCandidate,
     Scenario,
-    SegmentParams,
     ToleranceSet,
     Variant,
     WindVector,
@@ -18,7 +17,8 @@ from windubins import (
     sample,
     validate,
 )
-from windubins.geometry import HALF_PI, TWO_PI, mod2pi
+from windubins.families import SegmentParams
+from windubins.geometry import HALF_PI, TWO_PI, ang_dist, mod2pi, propagate
 
 from conftest import (
     CASE1_TIMES,
@@ -325,6 +325,40 @@ def test_rigid_motion_covariance(speed, bearing, x, y, theta_f, pose, rho):
     if mres.best.variant is not res.best.variant:
         tied = [c.total_time for c in res.all_candidates if c.variant is mres.best.variant]
         assert tied and min(tied) <= res.t_f + slack
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.floats(0.0, 0.95), _ANGLE, st.floats(0.0, 30.0), _ANGLE, _ANGLE,
+    st.tuples(_COORD, _COORD, _ANGLE), st.integers(-3, 3),
+)
+def test_sample_reintegrates_to_its_rows(speed, bearing, reach, direction, theta_f, start, k):
+    # The last row is the goal, and each row's pose flown with its control
+    # up to the next row's time gives the next row's pose.
+    rho = 2.0**k
+    sc = Scenario(
+        wind=_wind(speed, bearing),
+        target_x=start[0] + reach * math.cos(direction),
+        target_y=start[1] + reach * math.sin(direction),
+        theta_f=theta_f,
+        rho=rho,
+        start=start,
+    )
+    res = plan(sc)
+    if not res.feasible:
+        return
+    t_f = res.t_f
+    rows = sample(res.best, t_f / 37, sc)
+    last = rows[-1]
+    assert last.t == t_f
+    miss = math.hypot(last.x_inertial - sc.target_x, last.y_inertial - sc.target_y)
+    assert miss <= sc.tol.residual_tol * (rho + t_f)
+    assert ang_dist(last.theta, theta_f) <= sc.tol.feas_tol
+    slack = 1e-9 * (1.0 + t_f + math.hypot(start[0], start[1]))
+    for row, nxt in zip(rows, rows[1:]):
+        x, y, th = propagate(row.x_rel, row.y_rel, row.theta, row.u, nxt.t - row.t, rho)
+        assert math.hypot(x - nxt.x_rel, y - nxt.y_rel) <= slack
+        assert ang_dist(th, nxt.theta) <= slack
 
 
 def test_tolerances_in_turn_radii():

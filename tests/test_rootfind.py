@@ -26,7 +26,15 @@ from windubins.rootfind import (
     _root_set,
 )
 
-from grid_oracle import dense_grid_roots, envelope_fn, match_root_sets, quadcos_fn, simple_roots
+from grid_oracle import (
+    _cos,
+    _sin,
+    dense_grid_roots,
+    envelope_fn,
+    match_root_sets,
+    quadcos_fn,
+    simple_roots,
+)
 
 TOL = ToleranceSet()
 
@@ -275,7 +283,7 @@ def test_envelope_stationary_points_bounded_and_complete():
         assert len(found) <= 4
 
         def gp(b):
-            return (f2 + f5) * np.cos(b) + (f4 - f3) * np.sin(b) + b * (f4 * np.cos(b) - f5 * np.sin(b))
+            return (f2 + f5) * _cos(b) + (f4 - f3) * _sin(b) + b * (f4 * _cos(b) - f5 * _sin(b))
 
         expected = dense_grid_roots(gp, n=200_000)
         assert match_root_sets(found, expected, tol=1e-6), (f1, f2, f3, f4, f5, found, expected)
