@@ -215,9 +215,12 @@ def normalize(scenario: Scenario) -> Scenario:
     angle = HALF_PI - sth
     c, s = math.cos(angle), math.sin(angle)
     wx, wy = scenario.wind
+    wx, wy = c * wx - s * wy, s * wx + c * wy
+    while not wx * wx + wy * wy < 1.0:  # rounding lifted a valid |w| to 1
+        wx, wy = math.nextafter(wx, 0.0), math.nextafter(wy, 0.0)
     dx, dy = scenario.target_x - sx, scenario.target_y - sy
     return Scenario(
-        wind=WindVector(c * wx - s * wy, s * wx + c * wy),
+        wind=WindVector(wx, wy),
         target_x=c * dx - s * dy,
         target_y=s * dx + c * dy,
         theta_f=mod2pi(scenario.theta_f + angle),

@@ -155,24 +155,31 @@ def _root_set(found: list[tuple[float, bool]]) -> RootSet:
     return RootSet(roots, tangential)
 
 
-def _refine(fused, lo: float, hi: float, flo: float) -> float:
-    """Safeguarded Newton inside a sign-change bracket.
+def _refine(fused, lo: float, hi: float, flo: float, level: float = 0.0) -> float:
+    """Safeguarded Newton inside a sign-change bracket of value - ``level``.
 
-    ``fused(x)`` returns (value, derivative).  Newton steps that leave the
-    current bracket fall back to bisection, so convergence is guaranteed; the
-    bracket closes around the root at machine width, and the root returned is
-    the bracket end where |value| is smaller."""
+    ``fused(x)`` returns (value, derivative), and ``flo`` is value - level at
+    ``lo``.  Each step starts from an end of the current bracket.  A Newton
+    step that would leave the bracket falls back to bisection, and from the
+    ninth step on so does one not shorter than 0.9 of the bracket.  So a
+    Newton step that overshoots the root leaves a bracket at most 0.9 as
+    wide, and one that falls short moves its end toward the root: convergence
+    is guaranteed, and a Newton 2-cycle across a steep rise, which shrinks the
+    bracket by almost nothing per step, cannot last.  The bracket closes
+    around the root at machine width, and the root returned is the bracket
+    end where |value - level| is smaller."""
     x = 0.5 * (lo + hi)
     neg = flo < 0.0
-    alo, ahi = abs(flo), math.inf
-    for _ in range(120):
+    fhi = math.inf
+    for n in range(120):
         fx, dx = fused(x)
+        fx -= level
         if fx == 0.0:
             return x
         if neg != (fx < 0.0):
-            hi, ahi = x, abs(fx)
+            hi, fhi = x, fx
         else:
-            lo, alo = x, abs(fx)
+            lo, flo = x, fx
         width = 1e-14 + 4.0e-16 * hi
         if hi - lo <= width:
             break
@@ -183,11 +190,11 @@ def _refine(fused, lo: float, hi: float, flo: float) -> float:
                 # bracket closes, instead of bisecting the far end down.
                 step = math.copysign(0.5 * width, step)
             xn = x - step
-            if lo < xn < hi:
+            if lo < xn < hi and (n < 8 or abs(step) < 0.9 * (hi - lo)):
                 x = xn
                 continue
         x = 0.5 * (lo + hi)
-    return lo if alo <= ahi else hi
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def _monotone_roots(
@@ -205,21 +212,19 @@ def _monotone_roots(
     plain crossing.  A stationary point where |G| is within ``graze`` is a
     tangential (grazing) root.
     """
-    pts = sorted({lo, hi, *stationary})
-    gvals = [fused(p)[0] for p in pts]
-    found = []
-    for i in range(len(pts) - 1):
-        fa, fb = gvals[i], gvals[i + 1]
+    found, tangents = [], []
+    a, fa, left = lo, math.nan, math.nan  # the last knot, G there and at the one before
+    for b in sorted({lo, hi, *stationary}):
+        fb = fused(b)[0]
         if fa == 0.0:
-            x, left = pts[i], gvals[i - 1]  # i = 0 is at lo, so left goes unused
-            edge = x - 1e-6 < lo or x + 1e-6 > hi
-            found.append((x, not (edge or left < 0.0 < fb or fb < 0.0 < left)))
+            edge = a - 1e-6 < lo or a + 1e-6 > hi  # a = lo leaves left unused
+            found.append((a, not (edge or left < 0.0 < fb or fb < 0.0 < left)))
         elif fa < 0.0 < fb or fb < 0.0 < fa:  # as signs: fa * fb underflows below 1e-162
-            found.append((_refine(fused, pts[i], pts[i + 1], fa), False))
-    for p, gv in zip(pts, gvals):
-        if p in stationary and abs(gv) <= graze:
-            found.append((p, True))
-    return found
+            found.append((_refine(fused, a, b, fa), False))
+        if b in stationary and abs(fb) <= graze:
+            tangents.append((b, True))
+        a, fa, left = b, fb, fa
+    return found + tangents
 
 
 def _quadcos_rootless(coeffs: QuadCosCoeffs, lo: float, hi: float, slack: float) -> bool:
@@ -388,15 +393,15 @@ def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[f
             found.append(-cross / a)
         return sorted({b for b in found if lo <= b < hi})
 
-    theta = atan2(f4, -f5)
+    theta, kk, ka, minus_k = atan2(f4, -f5), k * k, k * a, -k
 
-    def phase(b: float, level: float = 0.0) -> tuple[float, float]:
-        # (h - level, h').  k*k + x*x underflows to 0 only where K and x are
+    def phase(b: float) -> tuple[float, float]:
+        # (h, h').  k*k + x*x underflows to 0 only where K and x are
         # both below 1e-162; h' is then only a Newton hint, which ``_refine``
         # drops when it leaves the bracket.
         x = a * b + cross
-        r2 = k * k + x * x
-        return b + theta + atan2(-k, x) - level, 1.0 + k * a / r2 if r2 else 1.0
+        r2 = kk + x * x
+        return b + theta + atan2(minus_k, x), 1.0 + ka / r2 if r2 else 1.0
 
     knots = [lo]
     if k < 0.0 and a + k >= 0.0:
@@ -412,6 +417,6 @@ def _envelope_stationary(coeffs: EnvelopeCoeffs, lo: float, hi: float) -> list[f
             if level == hp:
                 found.append(p)
             elif low < level < high:
-                found.append(_refine(lambda b: phase(b, level), p, q, hp - level))
+                found.append(_refine(phase, p, q, hp - level, level))
     return found
 

@@ -448,6 +448,11 @@ _INFEASIBLE = {
     "sx": 0.0, "sy": 0.0, "sth_deg": 90.0, "feas_tol": 1e-6, "residual_tol": 1e-30,
     "sample_dt": 0.1,
 }
+#: a valid wind that the turn to the start frame rounds up to |w| = 1
+_NEAR_UNIT_WIND = {
+    **_INFEASIBLE, "wx": 0.08644047343811254, "wy": -0.9962570173162119, "x": 3.0, "y": 1.0,
+    "theta_f_deg": 57.0, "sth_deg": 30.0, "residual_tol": 1e-6,
+}
 
 
 @settings(
@@ -460,6 +465,7 @@ _INFEASIBLE = {
     st.booleans(),
 )
 @example(_INFEASIBLE, {}, False)
+@example(_NEAR_UNIT_WIND, {}, True)
 def test_plan_never_raises(tmp_path, capsys, ordinary, special, with_start):
     # The plan-mode twin of test_batch_never_raises.  Values go in as
     # --flag=value, so that argparse reads a negative one as a value.

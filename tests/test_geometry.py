@@ -332,6 +332,26 @@ def test_normalize_rotation():
     assert norm.theta_f == pytest.approx(HALF_PI, abs=1e-15)
 
 
+def test_normalize_keeps_a_valid_wind_valid():
+    # Winds within a few ulps of |w| = 1 from any start heading: the turn to
+    # the start frame can round |w|^2 up to 1.0 (for about a sixth of them),
+    # and normalize must still return a scenario.
+    rng = random.Random(22)
+    for _ in range(3000):
+        speed = 1.0 - rng.randint(1, 4) * 2.0**-53
+        bearing = rng.uniform(0, TWO_PI)
+        wx, wy = speed * math.cos(bearing), speed * math.sin(bearing)
+        if not wx * wx + wy * wy < 1.0:
+            continue
+        sc = Scenario(
+            wind=WindVector(wx, wy), target_x=3.0, target_y=1.0, theta_f=1.0, rho=1.0,
+            start=(0.0, 0.0, rng.uniform(0, TWO_PI)),
+        )
+        norm = normalize(sc).wind
+        assert norm.wx * norm.wx + norm.wy * norm.wy < 1.0
+        assert math.hypot(*norm) == pytest.approx(math.hypot(wx, wy), abs=1e-15)
+
+
 def test_normalize_round_trip_against_original_frame():
     # Propagating in the normalized frame and mapping back, as sample does,
     # must agree with propagating directly from the original start pose.

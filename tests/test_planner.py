@@ -221,6 +221,22 @@ def test_plan_arbitrary_start_pose_round_trip():
         assert rows[-1].y_inertial == pytest.approx(sc.target_y, abs=1e-6)
 
 
+def test_near_unit_wind_plans_from_a_turned_start():
+    # Turning this valid wind into the start frame rounds |w|^2 up to 1.0,
+    # which ``normalize`` must not pass on to WindVector.
+    sc = Scenario(
+        wind=WindVector(0.08644047343811254, -0.9962570173162119),
+        target_x=3.0,
+        target_y=1.0,
+        theta_f=1.0,
+        rho=1.0,
+        start=(0.0, 0.0, math.radians(30.0)),
+    )
+    result = plan(sc)
+    assert result.feasible
+    assert validate(result.best, sc).feasible
+
+
 def test_mirror_equivariance():
     rng = random.Random(92)
     # Roots on wrap-branch boundaries (beta = pi/2 or theta_f), where an arc

@@ -12,6 +12,7 @@ from windubins import (
     RootSet,
     SinusoidCoeffs,
     ToleranceSet,
+    rootfind,
     solve_envelope,
     solve_quadcos,
     solve_sinusoid,
@@ -289,6 +290,99 @@ def test_envelope_stationary_points_bounded_and_complete():
         assert match_root_sets(found, expected, tol=1e-6), (f1, f2, f3, f4, f5, found, expected)
 
 
+def test_envelope_stationary_points_across_a_steep_phase_rise():
+    # roots-direct seed 901, draw 1296: h rises by pi within a few hundredths
+    # of b0 = 1.44, where K/a = 0.04.  Newton on h - pi hopped across that
+    # rise between 1.2857 and 2.4543, inside the bracket, for all 120 steps
+    # and returned 2.4543, where |G'| = 5.4, instead of 1.5464.
+    coeffs = EnvelopeCoeffs(
+        -6.670933445917003, 9.651077318513245, -2.2154148577623882,
+        -5.337242843234784, -2.0287332380719363,
+    )
+    _, f2, f3, f4, f5 = coeffs
+    found = _envelope_stationary(coeffs, 0.0, TWO_PI)
+    assert len(found) == 3
+    for b in found:
+        gp = (f4 - f3 - f5 * b) * math.sin(b) + (f2 + f5 + f4 * b) * math.cos(b)
+        assert abs(gp) <= 1e-9 * coeffs.scale, (b, gp)
+
+
+# ---------------------------------------------------------------------------
+# The cost of a solve: bracketed solves per call, evaluations per solve
+
+
+def _roots_direct_draws(seed):
+    """The quadcos and envelope coefficients of the 3000 draws that
+    ``bench/workloads.py``'s ``roots-direct`` makes from ``seed``."""
+    rng = random.Random(seed)
+    for _ in range(3000):
+        q, _, e = (tuple(rng.uniform(-10.0, 10.0) for _ in range(k)) for k in (4, 3, 5))
+        yield QuadCosCoeffs(*q), EnvelopeCoeffs(*e)
+
+
+def _bracketed_solves(solve, coeffs):
+    """The bracketed solves of one solver call, as (pass, evaluations) in
+    call order: pass is the index of the ``_monotone_roots`` call that made
+    the solve, or None for one made outside it (the envelope's solves of h)."""
+    solves, passes, current = [], 0, None
+    refine, monotone_roots = rootfind._refine, rootfind._monotone_roots
+
+    def counted_refine(fused, *args):
+        evaluations = 0
+
+        def counted(x):
+            nonlocal evaluations
+            evaluations += 1
+            return fused(x)
+
+        root = refine(counted, *args)
+        solves.append((current, evaluations))
+        return root
+
+    def counted_monotone_roots(*args):
+        nonlocal passes, current
+        current, passes = passes, passes + 1
+        try:
+            return monotone_roots(*args)
+        finally:
+            current = None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootfind, "_refine", counted_refine)
+        mp.setattr(rootfind, "_monotone_roots", counted_monotone_roots)
+        solve(coeffs, TOL)
+    return solves
+
+
+#: the bounds of solve_envelope's and solve_quadcos's docstrings on the
+#: bracketed solves of one call, by ``_bracketed_solves`` pass
+_MAX_ENVELOPE = {None: 4, 0: 5}  # solves of h, and of G
+_MAX_QUADCOS = {0: 3, 1: 4}  # solves of G', and of G
+
+
+def _assert_constant_time(solve, coeffs, bounds, max_evaluations):
+    solves = _bracketed_solves(solve, coeffs)
+    for where, bound in bounds.items():
+        assert sum(1 for w, _ in solves if w == where) <= bound, (coeffs, solves)
+    assert all(n <= max_evaluations for _, n in solves), (coeffs, solves)
+
+
+def test_bracketed_solves_are_bounded_on_roots_direct():
+    """The constant-time claim as counts, on roots-direct's draws of seeds
+    901 and 601: each solve_envelope call makes at most 9 bracketed solves
+    (4 of h and 5 of G), each solve_quadcos call at most 7 (3 of G' and 4
+    of G), and no bracketed solve takes more than 30 evaluations.
+
+    The worst found: 7 solves in an envelope call (3 of h, 4 of G), 7 in a
+    quadcos call (3 of G', 4 of G; seed 901, draw 1964), and 20 evaluations,
+    in a solve of h (seed 901, draws 1296 and 1479; seed 601, draw 2011).
+    Draw 1296 took 120 while a Newton step could span most of the bracket."""
+    for seed in (901, 601):
+        for q, e in _roots_direct_draws(seed):
+            _assert_constant_time(solve_envelope, e, _MAX_ENVELOPE, 30)
+            _assert_constant_time(solve_quadcos, q, _MAX_QUADCOS, 30)
+
+
 # ---------------------------------------------------------------------------
 # No-root certificates
 
@@ -379,6 +473,26 @@ def test_envelope_certificate_is_sound(f2, f3, f4, f5, share, margin, negative, 
     if _envelope_rootless(coeffs, lo, hi, _slack(coeffs)):
         _assert_no_root_on(envelope_fn(*coeffs), coeffs, lo, hi)
         assert len(solve_envelope(coeffs, TOL, domain=(lo, hi))) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.tuples(*[_COEF] * 5), st.tuples(*[_COEF] * 4))
+@example((1.0, 0.0, 1.0, 0.0, 7.131796825176075e-106), (0.0, 0.0, 0.0, 0.0))
+def test_bracketed_solves_are_bounded_on_the_roots_direct_range(envelope, quadcos):
+    """The solve counts of test_bracketed_solves_are_bounded_on_roots_direct
+    over a search of roots-direct's range [-10, 10] that also tries its
+    edges, zero and tiny magnitudes.
+
+    Evaluations are bounded here only by ``_refine``'s cap of 120 steps.  A
+    root can sit within rounding of a bracket end or of a double root: at
+    b = 0 of EnvelopeCoeffs(0, 1, 0, -1, -0.9999999999999996), G ~ -b^2 and
+    Newton halves its distance per step, as bisection does, for 47
+    evaluations.  And G can be flat at rounding level: around b = pi in the
+    example, 1 + cos(b) rounds to 0 over 1.5e-8, G is -b*f5*cos(b) ~ -2e-105
+    there, and each Newton step is below the closing width, so ``_refine``
+    creeps by half that width per step and stops at its cap of 120."""
+    _assert_constant_time(solve_envelope, EnvelopeCoeffs(*envelope), _MAX_ENVELOPE, 120)
+    _assert_constant_time(solve_quadcos, QuadCosCoeffs(*quadcos), _MAX_QUADCOS, 120)
 
 
 #: a coefficient: zero, or a magnitude from 5e-324 (the smallest subnormal)
