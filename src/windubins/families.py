@@ -29,7 +29,7 @@ the schedule valid:
 * SC: the final heading must be pi/2, and the straight length not negative;
 * CC: the first arc must lie in [0, 2*pi); in zero wind, the goal must sit
   on the first circle, which gives the one root;
-* CCC: the middle arc must not be degenerate, and the wrapped arc sum must
+* CCC: the middle arc must not be empty, and the wrapped arc sum must
   match the branch;
 * CSC: the last arc must lie in the root's own wrap branch, and the straight
   length must not be negative.  RSR/LSL solve a sinusoid per wrap branch,
@@ -73,6 +73,7 @@ from .geometry import (
     target_relative,
 )
 from .rootfind import (
+    _GRAZE_WINDOW,
     EnvelopeCoeffs,
     QuadCosCoeffs,
     SinusoidCoeffs,
@@ -81,10 +82,9 @@ from .rootfind import (
     solve_sinusoid,
 )
 
-#: slack for the arc-sum identity that selects the wrap branch of a root
-_BRANCH_TOL = 1e-6
-#: CCC middle arcs with sin(beta/2) at or below this are degenerate
-_ZERO_ANGLE_EPS = 1e-8
+#: Padding of the CCC and CSC root windows, so a root on a cut (an empty or full
+#: arc) is inside one: over ``_refine``'s 1.3e-14 closing width, far under feas_tol.
+_PAD = 1e-9
 
 _CCC_BRANCHES = (-2, -1, 0, 1, 2)
 
@@ -170,16 +170,13 @@ def _misses(
     return end, math.hypot(end.x - tx, end.y - ty), ang_dist(end.theta, scenario.theta_f)
 
 
-_DEDUPE_EPS = 1e-5  # grazing roots are located only to ~sqrt(eps)
-
-
 def _accept(scenario: Scenario, proposals: list[_Proposal]) -> list[PathCandidate]:
     """The candidates of the (variant, params, schedule) proposals whose
     forward-integrated schedule meets the moving target in position and
     heading at its own total time, in proposal order.
 
     Near-identical ones (same variant, every param within the grazing-root
-    location uncertainty ``_DEDUPE_EPS``) merge into the first one's place,
+    location uncertainty ``_GRAZE_WINDOW``) merge into the first one's place,
     keeping the lower residual; deterministic because solver order is.  A
     CSC's beta is a heading, compared modulo 2*pi (CCC's is an arc).
     """
@@ -193,7 +190,7 @@ def _accept(scenario: Scenario, proposals: list[_Proposal]) -> list[PathCandidat
         heading = variant.family is Family.CSC
         for i, kept in enumerate(out):
             if kept.variant is variant and all(
-                (ang_dist(p, q) if k == 1 and heading else abs(p - q)) <= _DEDUPE_EPS
+                (ang_dist(p, q) if k == 1 and heading else abs(p - q)) <= _GRAZE_WINDOW
                 for k, (p, q) in enumerate(zip(kept.params, params))
             ):
                 if residual < kept.residual:
@@ -323,9 +320,9 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
     For each root beta of the branch equation, the first-arc radian follows
     jointly from the two circle-tangency components (atan2, so no branch
     ambiguity), the third from the heading identity; roots whose wrapped arc
-    sum disagrees with the branch are rejected, everything else is proposed
-    to ``_accept``.  Middle arcs too close to 0 or 2*pi are degenerate (the
-    recovery divides by sin(beta/2)) and are served by other families.
+    sum disagrees with the branch by more than feas_tol are rejected, the rest
+    is proposed to ``_accept``.  An empty middle arc, the single arc RSR/LSL
+    list with d = 0, is skipped; small ones are left to ``_accept``.
     """
     tol = scenario.tol
     wx, wy = scenario.wind.wx, scenario.wind.wy
@@ -337,23 +334,22 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
             # Branch window: total time positive and alpha + gamma in [0, 4*pi)
             # bound beta to a subinterval (padded against boundary roots).
             base = _ccc_base(scenario, sigma, n)
-            lo = max(0.0, -base, -0.5 * base) - 1e-9
-            hi = min(TWO_PI, 2.0 * TWO_PI - base) + 1e-9
-            lo, hi = max(0.0, lo), min(hi, TWO_PI)
+            lo = max(0.0, -base - _PAD, -0.5 * base - _PAD)
+            hi = min(TWO_PI, 2.0 * TWO_PI - base + _PAD)
             if hi <= lo:
                 continue
             coeffs, m, nn = _ccc_coeffs(scenario, sigma, n, trig)
             for beta in solve_quadcos(coeffs, tol, domain=(lo, hi)).roots:
-                if math.sin(0.5 * beta) <= _ZERO_ANGLE_EPS:
+                if beta == 0.0:
                     continue
-                # The total time tau is positive: the window gives beta >=
-                # -base - 1e-9 and the test above beta > 2e-8, so tau > 1.9e-8.
+                # The path's time on branch n, >= -2*_PAD in the window; the check
+                # below holds alpha + beta + gamma, positive as beta is, to it.
                 tau = base + 2.0 * beta
                 a_comp = m - 2.0 * sigma * wx * beta
                 b_comp = nn - 2.0 * wy * beta
                 alpha = mod2pi(0.5 * beta + math.atan2(-a_comp, b_comp))
                 gamma = mod2pi(head - alpha + beta)
-                if abs(alpha + beta + gamma - tau) > _BRANCH_TOL:
+                if abs(alpha + beta + gamma - tau) > tol.feas_tol:
                     continue
                 schedule = ControlSchedule(((sigma, alpha), (-sigma, beta), (sigma, gamma)))
                 params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma)
@@ -448,20 +444,20 @@ def _csc_branch_window(sigma: int, th_f: float, n: int) -> tuple[float, tuple[fl
     (0 or -2*pi) that mod 2*pi takes off sigma*(b - pi/2) on it.
 
     Only the first arc's wrap at pi/2 and the last arc's at theta_f cut the
-    circle of headings, into two arcs, padded by 1e-9 against boundary roots
-    (the arc-sum filter arbitrates).  Between the cuts the wrap count is 1,
-    and b is the heading itself (c = 0) in [0, 2*pi].  Across heading 0 it
-    goes from 0 to 2, but branch 2's equation at b is branch 0's at
+    circle of headings, into two arcs, padded by ``_PAD`` against boundary
+    roots (the arc-sum filter arbitrates).  Between the cuts the wrap count
+    is 1, and b is the heading itself (c = 0) in [0, 2*pi].  Across heading 0
+    it goes from 0 to 2, but branch 2's equation at b is branch 0's at
     b + 2*sigma*pi: one arc of branch 0 in the unwrapped heading.  The root
     finder covers b - c in [0, 2*pi); where the arc is longer (theta_f within
-    1e-9 of pi/2), that turn holds its branch-0 end, whose paths are 4*pi
+    ``_PAD`` of pi/2), that turn holds its branch-0 end, whose paths are 4*pi
     shorter, and the rest lies 2*sigma*pi from a point of it.
     """
     m1, m2 = min(HALF_PI, th_f), max(HALF_PI, th_f)
     if n:  # sigma*(b - pi/2) < 0 between the cuts when sigma*(theta_f - pi/2) < 0
         wrap = -TWO_PI if sigma * (th_f - HALF_PI) < 0.0 else 0.0
-        return 0.0, (max(0.0, m1 - 1e-9), min(m2 + 1e-9, TWO_PI)), wrap
-    lo, hi = (m2 - TWO_PI - 1e-9, m1 + 1e-9) if sigma < 0 else (m2 - 1e-9, m1 + TWO_PI + 1e-9)
+        return 0.0, (max(0.0, m1 - _PAD), min(m2 + _PAD, TWO_PI)), wrap
+    lo, hi = (m2 - TWO_PI - _PAD, m1 + _PAD) if sigma < 0 else (m2 - _PAD, m1 + TWO_PI + _PAD)
     c = max(lo, hi - TWO_PI) if sigma < 0 else lo  # RSL's branch-0 end is its end
     return c, (lo - c, hi - c), 0.0
 
@@ -488,7 +484,7 @@ def _csc_from_beta(
     # a branch boundary then gets the full turn (2*pi) or the empty one (0)
     # that its own branch implies.
     gamma = _csc_arc_sum(variant, beta, scenario.theta_f, n) - alpha
-    if not -_BRANCH_TOL <= gamma <= TWO_PI + _BRANCH_TOL:
+    if not -tol.feas_tol <= gamma <= TWO_PI + tol.feas_tol:
         return None  # root belongs to a different wrap branch
     gamma = max(0.0, gamma)
     arc_time = alpha + gamma

@@ -21,8 +21,8 @@ from collections import namedtuple
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-#: Wind speeds below this are exactly zero (stationary target): ``WindVector``
-#: maps a slower wind to (0, 0).
+#: Slower winds are still air (``WindVector`` maps them to (0, 0)): far above
+#: 1e-154, where w^2 underflows, and their drift w*t is 1e-6 of residual_tol*t.
 ZERO_WIND_EPS = 1e-12
 
 #: Farthest supported goal, in turn radii from the start (see ``Scenario``).
@@ -91,8 +91,9 @@ class ToleranceSet(_Record, namedtuple("ToleranceSet", "feas_tol residual_tol"))
 
     feas_tol        bound on the heading error of a candidate, and slack on
                     the measure-zero equalities the families test at root
-                    level (they almost never hold exactly in floats), in
-                    turn radii for lengths and in radians for headings
+                    level, the wrap-branch arc-sum identity among them (they
+                    almost never hold exactly in floats), in turn radii for
+                    lengths and in radians for headings
     residual_tol    the one bound on the endpoint miss, in every family: a
                     candidate of total time t may miss the moving target by
                     at most residual_tol*(rho + t); see ``accepts``

@@ -3,8 +3,8 @@ candidate, take the global minimum, and map results back to the caller's frame.
 
 The minimum over the four family times is the global optimum; absence of any
 feasible candidate is reported as such rather than papered over.  Ties within
-1e-12 turn radii of each other resolve deterministically by family/variant
-enum order.
+``_TIE_EPS`` turn radii resolve deterministically by family/variant enum
+order.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from typing import NamedTuple
 from .families import Family, PathCandidate, _misses, solve_all
 from .geometry import DEFAULT_START, HALF_PI, Scenario, _Record, mod2pi, normalize, state_at
 
+#: Times this close, in turn radii, tie: above the rounding of one path's time
+#: found by two variants (1e-15 at t ~ 10), below the 1e-9 that t_f is held to.
 _TIE_EPS = 1e-12
 #: Row ceiling of ``sample``: a step that would give more rows is rejected.
 MAX_SAMPLE_ROWS = 10**6
@@ -92,11 +94,9 @@ def plan(scenario: Scenario) -> PlanResult:
     ordered = tuple(
         sorted(candidates, key=lambda c: (c.total_time, c.variant.order))
     )
-    best = None
-    for cand in ordered:
-        if best is None:
-            best = cand
-        elif abs(cand.total_time - best.total_time) <= tie and cand.variant.order < best.variant.order:
+    best = ordered[0] if ordered else None
+    for cand in ordered[1:]:  # never faster than best: ordered is sorted by time
+        if cand.total_time - best.total_time <= tie and cand.variant.order < best.variant.order:
             best = cand
     per_family = {family: math.inf for family in Family}
     for cand in ordered:
@@ -139,7 +139,7 @@ def sample(candidate: PathCandidate, dt: float, scenario: Scenario) -> list[Traj
             times.append(switch)
     times.append(total)
     times.sort()
-    eps = 1e-12 * max(1.0, total)
+    eps = 1e-12 * max(1.0, total)  # over a switch time's rounding, under dt if total > 1e-6
     merged: list[float] = []
     for t in times:
         if not merged or t - merged[-1] > eps:

@@ -40,8 +40,8 @@ Every bracketed solve is a safeguarded Newton iteration polished to machine
 precision.  A piece is bracketed when G has strictly opposite signs at its
 ends, compared as signs: their product underflows below about 1e-162.  A knot
 where G is exactly zero is a root, grazing unless G has strictly opposite
-signs at the neighbouring knots, and a plain crossing within 1e-6 of the
-domain edge.  Stationary points where |G| stays within the feasibility slack
+signs at the neighbouring knots, and a plain crossing within ``_KNOT_EDGE``
+of an end.  Stationary points where |G| stays within the feasibility slack
 are reported separately as tangential roots.
 """
 
@@ -52,11 +52,15 @@ from collections import namedtuple
 
 from .geometry import DEFAULT_TOLERANCES, TWO_PI, ToleranceSet, _Record, mod2pi
 
-_MERGE_EPS = 1e-11
-#: merge window of a tangential detection (see ``_root_set``)
-_TANGENT_MERGE = 1e-6
-#: bound on the rounding of one evaluation of G, relative to its scale
+#: Bound on G's rounding relative to its scale: a few eps on terms of at most
+#: 4*pi^2*scale, < 5e-14.  Larger only makes the no-root certificates rarer.
 _ROUNDING = 1e-12
+#: Merge window of tangential roots and of candidates: rounding moves a double root
+#: by sqrt(2*_ROUNDING) = 1.4e-6; roots sqrt(8*feas_tol) = 2.8e-3 apart are 2 contacts.
+_GRAZE_WINDOW = 1e-5
+#: A zero at a knot this close to lo or hi is a crossing: G at that end is then
+#: |G''|*e^2/2 ~ _ROUNDING*scale (e = sqrt(_ROUNDING), |G''| ~ scale), rounding.
+_KNOT_EDGE = 1e-6
 #: scale above which a solver first rescales its coefficients (``_rescaled``)
 _HUGE = 2.0**128
 
@@ -132,17 +136,15 @@ def _rescaled(coeffs):
 
 def _root_set(found: list[tuple[float, bool]]) -> RootSet:
     """The root set of (root, tangential) detections in detection order,
-    dropping those outside [0, 2*pi).  Sign-change roots merge within a
-    machine-scale window.  A tangential detection merges over a wider window
-    and yields to a nearby sign-change root: both see the same near-double
-    contact, which is reported once."""
+    dropping those outside [0, 2*pi).  Sign-change roots merge only when
+    equal; a tangential detection merges within ``_GRAZE_WINDOW`` and yields to
+    a sign-change root: both see one near-double contact, reported once."""
     kept: list[tuple[float, bool]] = []
     for root, tangential in found:
         if not 0.0 <= root < TWO_PI:
             continue
         for i, (r, was_tangential) in enumerate(kept):
-            window = _TANGENT_MERGE if (tangential or was_tangential) else _MERGE_EPS
-            if abs(r - root) <= window:
+            if r == root or (tangential or was_tangential) and abs(r - root) <= _GRAZE_WINDOW:
                 if was_tangential and not tangential:
                     kept[i] = (root, False)
                 break
@@ -165,9 +167,10 @@ def _refine(fused, lo: float, hi: float, flo: float, level: float = 0.0) -> floa
     Newton step that overshoots the root leaves a bracket at most 0.9 as
     wide, and one that falls short moves its end toward the root: convergence
     is guaranteed, and a Newton 2-cycle across a steep rise, which shrinks the
-    bracket by almost nothing per step, cannot last.  The bracket closes
-    around the root at machine width, and the root returned is the bracket
-    end where |value - level| is smaller."""
+    bracket by almost nothing per step, cannot last.  A Newton step onto an
+    end or just past it probes half the closing width inside that end.  The
+    bracket closes around the root at machine width, and the root returned is
+    the bracket end where |value - level| is smaller."""
     x = 0.5 * (lo + hi)
     neg = flo < 0.0
     fhi = math.inf
@@ -193,6 +196,9 @@ def _refine(fused, lo: float, hi: float, flo: float, level: float = 0.0) -> floa
             if lo < xn < hi and (n < 8 or abs(step) < 0.9 * (hi - lo)):
                 x = xn
                 continue
+            if lo - width <= xn <= lo or hi <= xn <= hi + width:  # a root within rounding of an end
+                x = lo + 0.5 * width if xn <= lo else hi - 0.5 * width
+                continue
         x = 0.5 * (lo + hi)
     return lo if abs(flo) <= abs(fhi) else hi
 
@@ -208,16 +214,16 @@ def _monotone_roots(
     so each piece holds at most one sign change, found by a bracketed solve.
     A knot where G is exactly zero counts once: grazing unless G has strictly
     opposite signs at the two neighbouring knots, which carry its sign on
-    each side because G is monotone there; within 1e-6 of lo or hi it is a
-    plain crossing.  A stationary point where |G| is within ``graze`` is a
-    tangential (grazing) root.
+    each side because G is monotone there; within ``_KNOT_EDGE`` of lo or hi
+    it is a plain crossing.  A stationary point where |G| is within
+    ``graze`` is a tangential (grazing) root.
     """
     found, tangents = [], []
     a, fa, left = lo, math.nan, math.nan  # the last knot, G there and at the one before
     for b in sorted({lo, hi, *stationary}):
         fb = fused(b)[0]
         if fa == 0.0:
-            edge = a - 1e-6 < lo or a + 1e-6 > hi  # a = lo leaves left unused
+            edge = a - _KNOT_EDGE < lo or a + _KNOT_EDGE > hi  # a = lo leaves left unused
             found.append((a, not (edge or left < 0.0 < fb or fb < 0.0 < left)))
         elif fa < 0.0 < fb or fb < 0.0 < fa:  # as signs: fa * fb underflows below 1e-162
             found.append((_refine(fused, a, b, fa), False))
@@ -279,15 +285,12 @@ def solve_quadcos(
 
     # Roots of G'' in closed form.
     inflections: list[float] = []
-    if c3 != 0.0:
-        ratio = two_c1 / c3
-        if -1.0 <= ratio <= 1.0:
-            b = math.acos(ratio)
-            if lo < b < hi:
-                inflections.append(b)
-            b2 = TWO_PI - b
-            if lo < b2 < hi and b2 != b:
-                inflections.append(b2)
+    if c3 != 0.0 and -1.0 <= two_c1 / c3 <= 1.0:
+        b = math.acos(two_c1 / c3)
+        if lo < b < hi:
+            inflections.append(b)
+        if lo < TWO_PI - b < hi:  # b = pi twice is harmless: knots are a set
+            inflections.append(TWO_PI - b)
 
     # G' is monotone between the inflections (constant when c1 = c3 = 0); no
     # graze, so every root of G' is one where it changes sign or is exactly

@@ -282,7 +282,7 @@ def brute_force(
         for kappa in (-1, 1):
             if not wanted(("R" if sigma == -1 else "L") + "S" + ("R" if kappa == -1 else "L")):
                 continue
-            bb, dd = np.meshgrid(angles, lengths, indexing="ij")
+            bb, dd = np.meshgrid(angles, lengths, indexing="ij", sparse=True)
             res, total = _csc_residual(scenario, sigma, kappa, bb, dd)
             # Endpoint sensitivity to the straight heading grows with d.
             thresh = (dd + 12.0 * rho + 2.0) * grid.angle_res + 2.0 * length_step
@@ -290,7 +290,7 @@ def brute_force(
             half_d = block_d * length_step * d_stretch
             for i, j in _block_minima(res, thresh, block, block_d):
                 fn = lambda p, q: _csc_residual(scenario, sigma, kappa, p, q)
-                p, q, r = _refine_2d(fn, float(bb[i, j]), float(dd[i, j]),
+                p, q, r = _refine_2d(fn, float(bb[i, 0]), float(dd[0, j]),
                                      half, half_d, grid.depth,
                                      q_bounds=(0.0, math.inf))
                 p, q = _newton_polish(

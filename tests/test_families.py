@@ -13,7 +13,6 @@ from windubins import (
     plan,
 )
 from windubins.families import (
-    _DEDUPE_EPS,
     Family,
     _ccc_coeffs,
     _csc_branch_window,
@@ -26,6 +25,7 @@ from windubins.families import (
     solve_sc,
 )
 from windubins.geometry import HALF_PI, TWO_PI, RelativeState, ang_dist, integrate, target_relative
+from windubins.rootfind import _GRAZE_WINDOW
 
 from conftest import (
     CASE1_TIMES,
@@ -275,18 +275,31 @@ def test_accept_merges_near_duplicates(monkeypatch):
 
     def near(a, b):
         return a.variant is b.variant and all(
-            abs(p - q) <= _DEDUPE_EPS for p, q in zip(a.params, b.params)
+            abs(p - q) <= _GRAZE_WINDOW for p, q in zip(a.params, b.params)
         )
 
     merged = solve_csc(sc)
     assert len(merged) == 7
     assert not any(near(a, b) for i, a in enumerate(merged) for b in merged[i + 1:])
-    monkeypatch.setattr(windubins.families, "_DEDUPE_EPS", -1.0)  # merge nothing
+    monkeypatch.setattr(windubins.families, "_GRAZE_WINDOW", -1.0)  # merge nothing
     unmerged = solve_csc(sc)
     assert len(unmerged) == 10
     # Each merged candidate is the lowest-residual member of its group.
     for c in merged:
         assert c.residual == min(u.residual for u in unmerged if near(c, u))
+
+
+def test_accept_keeps_two_contacts_apart():
+    # Two RL<piR paths whose params all lie within 3.4e-3: their roots are
+    # parted by a dip of G 1.05 times the graze band, so they are two
+    # contacts, not one grazing root located twice, and both are kept.  A
+    # grazing-location window of 3.4e-3 or more would merge them.
+    sc = Scenario(wind=WindVector(0.0, 0.4), target_x=3.386155899493694, target_y=0.8083942335010113,
+                  theta_f=0.5, rho=1.0)
+    pair = [c for c in solve_ccc(sc) if c.variant is Variant.RLR_SHORT]
+    assert len(pair) == 2
+    assert max(abs(p - q) for p, q in zip(pair[0].params, pair[1].params)) < 3.4e-3
+    assert pair[1].total_time - pair[0].total_time == pytest.approx(6.7e-3, abs=1e-4)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from windubins import (
     validate,
 )
 from windubins.families import SegmentParams
-from windubins.geometry import HALF_PI, TWO_PI, ang_dist, mod2pi, propagate
+from windubins.geometry import DEFAULT_START, HALF_PI, TWO_PI, ang_dist, integrate, mod2pi, propagate
 
 from conftest import (
     CASE1_TIMES,
@@ -81,6 +81,33 @@ def test_plan_candidates_sorted_and_deterministic(case1):
     assert times == sorted(times)
     assert [c.variant for c in a.all_candidates] == [c.variant for c in b.all_candidates]
     assert [c.total_time for c in a.all_candidates] == [c.total_time for c in b.all_candidates]
+
+
+def test_a_real_gap_is_not_a_tie():
+    # Still air, goal (-1e-10, -3), theta_f = 3*pi/2: moving the goal of a
+    # mirror-symmetric problem 1e-10 off its axis makes LSR faster than its
+    # mirror RSL by 1.3e-10, far above the rounding of a time.  The faster
+    # path wins though RSL comes first in enum order; a tie window of 1.3e-10
+    # turn radii or more would hand the win to RSL.
+    sc = Scenario(wind=WindVector(0.0, 0.0), target_x=-1e-10, target_y=-3.0, theta_f=1.5 * math.pi, rho=1.0)
+    result = plan(sc)
+    assert result.best.variant is Variant.LSR
+    assert result.t_f == min(c.total_time for c in result.all_candidates)
+    rsl = min(c.total_time for c in result.all_candidates if c.variant is Variant.RSL)
+    assert rsl - result.t_f == pytest.approx(1.3e-10, rel=0.05)
+
+
+def test_a_slow_wind_is_not_still_air():
+    # A wind of 3e-6 drifts the goal by 3e-5 over the path of 10 turn radii,
+    # about three times the residual_tol*(rho + t) a path may miss by: the
+    # planner keeps that wind, and its path meets the drifting goal.  A
+    # zero-wind threshold of 3e-6 or more would plan for still air and miss.
+    wx = 3e-6
+    sc = Scenario(wind=WindVector(wx, 0.0), target_x=0.0, target_y=10.0, theta_f=HALF_PI, rho=1.0)
+    best = plan(sc).best
+    end = integrate(DEFAULT_START, best.schedule, 1.0)
+    miss = math.hypot(end.x + best.total_time * wx, end.y - 10.0)
+    assert miss <= sc.tol.residual_tol * (1.0 + best.total_time)
 
 
 def test_plan_reports_infeasible_with_widening():
@@ -189,6 +216,29 @@ def test_sample_case1_endpoint_hits_inertial_target(case1):
         switch += dur
         at_switch = [r for r in rows if r.t == switch]
         assert len(at_switch) == 1 and at_switch[0].u == u_next
+
+
+def test_sample_merges_a_grid_time_within_rounding_of_a_switch(case1):
+    # With dt = switch/19, the grid time 19*dt lands 8.9e-16 past case 1's
+    # second switch instead of on it: one row there, not two rows a rounding
+    # apart.
+    best = plan(case1).best
+    switch = best.schedule.pieces[0][1] + best.schedule.pieces[1][1]
+    dt = switch / 19
+    assert 0.0 < 19 * dt - switch < 1e-15
+    rows = sample(best, dt, case1)
+    assert [r.t for r in rows if abs(r.t - switch) < 1e-9] == [switch]
+
+
+def test_sample_keeps_every_row_of_a_short_path():
+    # A straight path of 1e-3 turn radii sampled every 1e-7 has 10^4 grid
+    # rows and its end, each its own row; a merge slack of 1e-7 would fold
+    # them together.
+    sc = Scenario(wind=WindVector(0.0, 0.0), target_x=0.0, target_y=1e-3, theta_f=HALF_PI, rho=1.0)
+    straight = [c for c in plan(sc).all_candidates if c.params.d == c.total_time]
+    rows = sample(straight[0], 1e-7, sc)
+    assert len(rows) == 10**4 + 1
+    assert min(b.t - a.t for a, b in zip(rows, rows[1:])) > 0.99e-7
 
 
 def test_sample_rejects_bad_dt(case1):

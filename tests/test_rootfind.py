@@ -249,9 +249,10 @@ def test_envelope_double_root_at_domain_edge():
     [
         (3, 1.0, False),  # G changes sign through the zero: a simple root
         (2, 1.0, True),  # G keeps its sign on both sides: a grazing root
-        (2, 5e-7, False),  # within 1e-6 of lo, a zero counts as a crossing
+        (2, 5e-7, False),  # within _KNOT_EDGE of lo, a zero counts as a crossing
+        (2, 1e-5, True),  # G(lo) = 1e-10 is far above rounding: still grazing
     ],
-    ids=["interior-crossing", "interior-grazing", "near-edge"],
+    ids=["interior-crossing", "interior-grazing", "near-edge", "off-edge"],
 )
 def test_exact_zero_at_a_knot(power, zero, tangential):
     # G = (b - zero)^power on [0, 2], with its stationary point at the zero,
@@ -425,6 +426,18 @@ def test_certificates_at_the_graze_band(shift, grazes):
             assert len(rs) == 0
 
 
+def test_certificate_margin_covers_the_rounding_of_g():
+    # G = c1*(b - pi)^2 + c3*(1 + cos(b)) + graze, to rounding: at the edge
+    # of the graze band, the rounding of G decides whether the full isolation
+    # finds a grazing root at pi, and here it does.  Without the
+    # ``_ROUNDING`` margin the certificate fires and that root is lost.
+    coeffs = QuadCosCoeffs(26.30243786076796, -165.2630911097813, 0.1581381016523479, 259.7532470485813)
+    assert _quadcos_rootless(coeffs, 0.0, TWO_PI, _graze(coeffs))
+    assert not _quadcos_rootless(coeffs, 0.0, TWO_PI, _slack(coeffs))
+    rs = solve_quadcos(coeffs, TOL)
+    assert rs.roots == pytest.approx((math.pi,), abs=1e-12) and rs.tangential == (True,)
+
+
 _COEF = st.floats(-10.0, 10.0)
 _ANGLE = st.floats(0.0, TWO_PI)
 #: where the certificate's bound sits against |G|, in units of graze
@@ -493,6 +506,22 @@ def test_bracketed_solves_are_bounded_on_the_roots_direct_range(envelope, quadco
     creeps by half that width per step and stops at its cap of 120."""
     _assert_constant_time(solve_envelope, EnvelopeCoeffs(*envelope), _MAX_ENVELOPE, 120)
     _assert_constant_time(solve_quadcos, QuadCosCoeffs(*quadcos), _MAX_QUADCOS, 120)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        QuadCosCoeffs(0.0, -1e18, 0.0, 1.0),
+        QuadCosCoeffs(1.0151655139256908e-239, 4.570167456253651, 1.0151655139256908e-239, -8.762064978510256e-186),
+    ],
+)
+def test_newton_onto_a_bracket_end_probes_inside_it(coeffs):
+    # The root lies within rounding of b = 0, and the Newton step from the
+    # midpoint lands on the bracket end 0.0, not strictly inside.  Probing
+    # half the closing width inside that end closes the bracket at once;
+    # bisecting down to the end took 50 evaluations.
+    solves = _bracketed_solves(solve_quadcos, coeffs)
+    assert solves and all(n <= 4 for _, n in solves), solves
 
 
 #: a coefficient: zero, or a magnitude from 5e-324 (the smallest subnormal)
