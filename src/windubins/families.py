@@ -86,9 +86,6 @@ from .rootfind import (
 #: arc) is inside one: over ``_refine``'s 1.3e-14 closing width, far under feas_tol.
 _PAD = 1e-9
 
-_CCC_BRANCHES = (-2, -1, 0, 1, 2)
-
-
 class Family(enum.Enum):
     SC = "SC"
     CC = "CC"
@@ -288,29 +285,36 @@ def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
 # CCC: three alternating arcs.
 
 
-def _ccc_base(scenario: Scenario, sigma: int, n: int) -> float:
-    """alpha + gamma - beta, fixed by the heading identity for branch n."""
-    return sigma * (scenario.theta_f - HALF_PI - 2.0 * n * math.pi)
+def _ccc_equations(scenario: Scenario) -> list[tuple]:
+    """Every non-empty CCC branch equation of a unit-radius normalized
+    scenario, as (sigma, n, coeffs, base, lo, hi, m, nn) for orientation sigma
+    and wrap branch n, in solver order.
 
-
-def _ccc_coeffs(
-    scenario: Scenario, sigma: int, n: int, trig: tuple[float, float]
-) -> tuple[QuadCosCoeffs, float, float]:
-    """Quadratic-plus-cosine coefficients for one orientation and wrap branch.
-
-    base = alpha + gamma - beta (``_ccc_base``); the target identity then
-    pins the endpoint as a linear function of beta, and the tangency of the
-    first/last circles with the middle one squares into
-    G(beta) = c1*b^2 + c2*b + c3*cos b + c4.  ``trig``: (sin, cos) of theta_f.
+    The heading identity fixes base = alpha + gamma - beta on branch n; the
+    target identity then pins the endpoint as a linear function of beta, with
+    components (m - 2*sigma*wx*beta, nn - 2*wy*beta), and the tangency of the
+    first/last circles with the middle one squares into G(beta) =
+    c1*b^2 + c2*b + c3*cos b + c4.  Branch window [lo, hi]: total time
+    positive and alpha + gamma in [0, 4*pi) bound beta to a subinterval
+    (padded against boundary roots); a branch whose window is empty is left out.
     """
-    wx, wy = scenario.wind.wx, scenario.wind.wy
-    X, Y = scenario.target
-    sin_f, cos_f = trig
-    base = _ccc_base(scenario, sigma, n)
-    m = sigma * (X - wx * base) - sin_f + 1.0
-    nn = Y - wy * base + sigma * cos_f
-    c2 = -4.0 * (sigma * m * wx + nn * wy)
-    return QuadCosCoeffs(4.0 * (wx * wx + wy * wy), c2, 8.0, m * m + nn * nn - 8.0), m, nn
+    (wx, wy), X, Y, th_f = scenario[:4]  # wind, goal, theta_f
+    sin_f, cos_f = math.sin(th_f), math.cos(th_f)
+    c1 = 4.0 * (wx * wx + wy * wy)
+    out = []
+    for sigma in (-1, 1):
+        for n in (-2, -1, 0, 1, 2):
+            base = sigma * (th_f - HALF_PI - 2.0 * n * math.pi)
+            lo = max(0.0, -base - _PAD, -0.5 * base - _PAD)
+            hi = min(TWO_PI, 2.0 * TWO_PI - base + _PAD)
+            if hi <= lo:
+                continue
+            m = sigma * (X - wx * base) - sin_f + 1.0
+            nn = Y - wy * base + sigma * cos_f
+            c2 = -4.0 * (sigma * m * wx + nn * wy)
+            coeffs = QuadCosCoeffs(c1, c2, 8.0, m * m + nn * nn - 8.0)
+            out.append((sigma, n, coeffs, base, lo, hi, m, nn))
+    return out
 
 
 def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
@@ -324,36 +328,25 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
     is proposed to ``_accept``.  An empty middle arc, the single arc RSR/LSL
     list with d = 0, is skipped; small ones are left to ``_accept``.
     """
+    (wx, wy), _, _, th_f = scenario[:4]
     tol = scenario.tol
-    wx, wy = scenario.wind.wx, scenario.wind.wy
-    trig = (math.sin(scenario.theta_f), math.cos(scenario.theta_f))
     proposals = []
-    for sigma in (-1, 1):
-        head = sigma * (scenario.theta_f - HALF_PI)
-        for n in _CCC_BRANCHES:
-            # Branch window: total time positive and alpha + gamma in [0, 4*pi)
-            # bound beta to a subinterval (padded against boundary roots).
-            base = _ccc_base(scenario, sigma, n)
-            lo = max(0.0, -base - _PAD, -0.5 * base - _PAD)
-            hi = min(TWO_PI, 2.0 * TWO_PI - base + _PAD)
-            if hi <= lo:
+    for sigma, _, coeffs, base, lo, hi, m, nn in _ccc_equations(scenario):
+        for beta in solve_quadcos(coeffs, tol, domain=(lo, hi)).roots:
+            if beta == 0.0:
                 continue
-            coeffs, m, nn = _ccc_coeffs(scenario, sigma, n, trig)
-            for beta in solve_quadcos(coeffs, tol, domain=(lo, hi)).roots:
-                if beta == 0.0:
-                    continue
-                # The path's time on branch n, >= -2*_PAD in the window; the check
-                # below holds alpha + beta + gamma, positive as beta is, to it.
-                tau = base + 2.0 * beta
-                a_comp = m - 2.0 * sigma * wx * beta
-                b_comp = nn - 2.0 * wy * beta
-                alpha = mod2pi(0.5 * beta + math.atan2(-a_comp, b_comp))
-                gamma = mod2pi(head - alpha + beta)
-                if abs(alpha + beta + gamma - tau) > tol.feas_tol:
-                    continue
-                schedule = ControlSchedule(((sigma, alpha), (-sigma, beta), (sigma, gamma)))
-                params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma)
-                proposals.append((_CCC_VARIANT[sigma, beta >= math.pi], params, schedule))
+            # The path's time on branch n, >= -2*_PAD in the window; the check
+            # below holds alpha + beta + gamma, positive as beta is, to it.
+            tau = base + 2.0 * beta
+            a_comp = m - 2.0 * sigma * wx * beta
+            b_comp = nn - 2.0 * wy * beta
+            alpha = mod2pi(0.5 * beta + math.atan2(-a_comp, b_comp))
+            gamma = mod2pi(sigma * (th_f - HALF_PI) - alpha + beta)
+            if abs(alpha + beta + gamma - tau) > tol.feas_tol:
+                continue
+            schedule = ControlSchedule(((sigma, alpha), (-sigma, beta), (sigma, gamma)))
+            params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma)
+            proposals.append((_CCC_VARIANT[sigma, beta >= math.pi], params, schedule))
     return _accept(scenario, proposals)
 
 
@@ -361,36 +354,58 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
 # CSC: arc, straight, arc.
 
 
-def _csc_arc_sum(variant: Variant, beta: float, th_f: float, n: int) -> float:
-    """alpha + gamma for wrap branch n (beta-free for RSR/LSL, linear otherwise)."""
-    sigma, kappa = variant.sigma, variant.kappa
-    return -sigma * HALF_PI + kappa * th_f + (sigma - kappa) * beta + 2.0 * n * math.pi
+def _csc_equations(scenario: Scenario) -> tuple[tuple, list[tuple], list[tuple]]:
+    """The plan's constants that ``_csc_from_beta`` reads (goal, wind, sin and
+    cos of theta_f, feas_tol), then every non-empty CSC branch equation of a
+    unit-radius normalized scenario: RSL/LSR's on each of its two arcs of
+    straight headings, as (variant, n, coeffs, c, a, z, wrap, head, n2pi), and
+    RSR/LSL's per wrap branch, as (variant, n, coeffs, arc_sum).
 
+    On wrap branch n the arc sum is alpha + gamma = head + (sigma - kappa)*beta
+    + n2pi, head = -sigma*pi/2 + kappa*theta_f and n2pi = 2*n*pi: free of beta
+    for RSR/LSL, whose branches outside [0, 4*pi) are left out, and linear
+    otherwise.  Eliminating the straight length d from the two
+    displacement-balance components leaves, for RSR/LSL, a plain sinusoid,
+    and for RSL/LSR a sinusoid with a linear envelope.  The coefficients
+    below are the fully expanded cross products; they contain no divisions,
+    so a zero wind component costs nothing.  For RSR/LSL, (e2, -e3) is the
+    balance residual r: where it vanishes, so does every coefficient, and
+    the balance holds for every beta.
 
-def _csc_root_coeffs(
-    scenario: Scenario, variant: Variant, n: int, trig: tuple[float, float]
-) -> SinusoidCoeffs | EnvelopeCoeffs:
-    """Root-equation coefficients for one CSC variant and wrap branch.
-
-    Eliminating the straight length d from the two displacement-balance
-    components leaves, for RSR/LSL (arc sum independent of beta), a plain
-    sinusoid, and for RSL/LSR a sinusoid with a linear envelope.  The
-    coefficients below are the fully expanded cross products; they contain no
-    divisions, so a zero wind component costs nothing.  For RSR/LSL,
-    (e2, -e3) is the balance residual r: where it vanishes, so does every
-    coefficient, and the balance holds for every beta.  ``trig``: (sin, cos)
-    of theta_f.
+    RSL/LSR's equation is solved in b' = b - c on the arc of
+    ``_csc_branch_window`` (a, z and wrap are its): G'(b') = G(c + b').  With
+    p = f2 + c*f4 and q = f3 + c*f5, each pair of sine and cosine
+    coefficients, (p, q) and (f4, f5), turns by c into
+    (p*cos c - q*sin c, p*sin c + q*cos c).
     """
-    wx, wy = scenario.wind.wx, scenario.wind.wy
-    sigma, kappa = variant.sigma, variant.kappa
-    sin_f, cos_f = trig
-    s = _csc_arc_sum(variant, 0.0, scenario.theta_f, n)
-    rx = scenario.target_x - s * wx + sigma - kappa * sin_f
-    ry = scenario.target_y - s * wy + kappa * cos_f
-    if sigma == kappa:
-        return SinusoidCoeffs(rx * wy - ry * wx, rx, -ry)
-    t = 2.0 * sigma
-    return EnvelopeCoeffs(rx * wy - ry * wx - t, rx - t * wy, -ry - t * wx, -t * wx, t * wy)
+    (wx, wy), X, Y, th_f = scenario[:4]  # wind, goal, theta_f
+    sin_f, cos_f = math.sin(th_f), math.cos(th_f)
+    consts = (X, Y, wx, wy, sin_f, cos_f, scenario.tol.feas_tol)
+    arcs, branches = [], []
+    for variant in (Variant.RSL, Variant.LSR, Variant.RSR, Variant.LSL):
+        sigma, kappa = variant.sigma, variant.kappa
+        head = -sigma * HALF_PI + kappa * th_f
+        for n in (0, 1, 2) if sigma == kappa else (0, 1):
+            n2pi = 2.0 * n * math.pi
+            s = head + n2pi  # the arc sum at beta = 0
+            if sigma == kappa and (s < 0.0 or s >= 2.0 * TWO_PI):
+                continue
+            rx = X - s * wx + sigma - kappa * sin_f
+            ry = Y - s * wy + kappa * cos_f
+            if sigma == kappa:
+                branches.append((variant, n, SinusoidCoeffs(rx * wy - ry * wx, rx, -ry), s))
+                continue
+            t = 2.0 * sigma
+            f4, f5 = -t * wx, t * wy
+            c, (a, z), wrap = _csc_branch_window(sigma, th_f, n)
+            sc, cc = math.sin(c), math.cos(c)
+            p, q = rx - t * wy + c * f4, -ry - t * wx + c * f5
+            coeffs = EnvelopeCoeffs(
+                rx * wy - ry * wx - t, p * cc - q * sc, p * sc + q * cc,
+                f4 * cc - f5 * sc, f4 * sc + f5 * cc,
+            )
+            arcs.append((variant, n, coeffs, c, a, z, wrap, head, n2pi))
+    return consts, arcs, branches
 
 
 def solve_csc(scenario: Scenario) -> list[PathCandidate]:
@@ -399,41 +414,44 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
 
     Each root fixes the straight heading; the arcs follow by bookkeeping and
     the straight length from the displacement balance against the moving
-    target, solved against its better-conditioned component.  Roots of
-    another wrap branch and negative lengths are dropped, and the survivors
-    are proposed to ``_accept``, which checks the whole endpoint.
+    target, solved against its better-conditioned component.  The last arc
+    comes from the branch's arc sum, not from mod2pi: a root on a branch
+    boundary then gets the full turn (2*pi) or the empty one (0) that its own
+    branch implies, and a root whose last arc leaves [0, 2*pi] by more than
+    feas_tol belongs to another branch and is dropped before its balance is
+    solved.  Negative lengths are dropped too, and the survivors are
+    proposed to ``_accept``, which checks the whole endpoint.
     """
     tol = scenario.tol
-    th_f = scenario.theta_f
-    trig = (math.sin(th_f), math.cos(th_f))
+    feas = tol.feas_tol
+    consts, arcs, branches = _csc_equations(scenario)
     proposals = []
-    for variant in (Variant.RSL, Variant.LSR):
-        for n in (0, 1):
-            c, (a, z), wrap = _csc_branch_window(variant.sigma, th_f, n)
-            coeffs = _csc_rotated(_csc_root_coeffs(scenario, variant, n, trig), c)
-            for b in solve_envelope(coeffs, tol, domain=(max(0.0, a), min(z, TWO_PI))).roots:
-                for v in (b, b + variant.sigma * TWO_PI):  # every point of the arc at this heading
-                    if a <= v <= z:
-                        alpha = max(0.0, variant.sigma * (c + v - HALF_PI) - wrap)
-                        proposals.append(_csc_from_beta(scenario, variant, n, c + v, alpha, trig))
-    for variant in (Variant.RSR, Variant.LSL):
-        for n in (0, 1, 2):
-            # Arc sum is beta-free; prune branches outside [0, 4*pi).
-            arc_sum = _csc_arc_sum(variant, 0.0, th_f, n)
-            if arc_sum < 0.0 or arc_sum >= 2.0 * TWO_PI:
-                continue
-            coeffs = _csc_root_coeffs(scenario, variant, n, trig)
-            rx0, ry0 = abs(coeffs.e2), abs(coeffs.e3)  # |r|, component-wise
-            scale = tol.feas_tol * (1.0 + rx0 + ry0 + (1.0 + arc_sum))
-            if rx0 <= scale and ry0 <= scale:
-                # Identically satisfied balance: the straight segment
-                # vanishes and any split of the (single-direction) arc
-                # works; propose one canonical split.
-                proposals.append(_csc_degenerate(variant, arc_sum))
-                continue
-            for beta in solve_sinusoid(coeffs, tol).roots:
-                alpha = mod2pi(variant.sigma * (beta - HALF_PI))
-                proposals.append(_csc_from_beta(scenario, variant, n, beta, alpha, trig))
+    for variant, _, coeffs, c, a, z, wrap, head, n2pi in arcs:
+        sigma, turn = variant.sigma, variant.sigma - variant.kappa
+        for b in solve_envelope(coeffs, tol, domain=(max(0.0, a), min(z, TWO_PI))).roots:
+            for v in (b, b + sigma * TWO_PI):  # every point of the arc at this heading
+                if a <= v <= z:
+                    beta = c + v
+                    alpha = max(0.0, sigma * (beta - HALF_PI) - wrap)
+                    gamma = head + turn * beta + n2pi - alpha
+                    if -feas <= gamma <= TWO_PI + feas:
+                        proposals.append(_csc_from_beta(consts, variant, beta, alpha, gamma))
+    for variant, _, coeffs, arc_sum in branches:
+        rx0, ry0 = abs(coeffs.e2), abs(coeffs.e3)  # |r|, component-wise
+        scale = feas * (1.0 + rx0 + ry0 + (1.0 + arc_sum))
+        if rx0 <= scale and ry0 <= scale:
+            # Identically satisfied balance: d = 0 is forced, and any split of
+            # the (single-direction) arc works; propose the even split.
+            half = 0.5 * arc_sum
+            schedule = ControlSchedule(((variant.sigma, half), (0, 0.0), (variant.kappa, half)))
+            beta = mod2pi(HALF_PI + variant.sigma * half)
+            proposals.append((variant, SegmentParams(alpha=half, beta=beta, gamma=half), schedule))
+            continue
+        for beta in solve_sinusoid(coeffs, tol).roots:
+            alpha = mod2pi(variant.sigma * (beta - HALF_PI))
+            gamma = arc_sum - alpha
+            if -feas <= gamma <= TWO_PI + feas:
+                proposals.append(_csc_from_beta(consts, variant, beta, alpha, gamma))
     return _accept(scenario, [p for p in proposals if p is not None])
 
 
@@ -462,54 +480,28 @@ def _csc_branch_window(sigma: int, th_f: float, n: int) -> tuple[float, tuple[fl
     return c, (lo - c, hi - c), 0.0
 
 
-def _csc_rotated(coeffs: EnvelopeCoeffs, c: float) -> EnvelopeCoeffs:
-    """The envelope equation in b' = b - c: G'(b') = G(c + b').  With
-    a = f2 + c*f4 and e = f3 + c*f5, each pair (p, q) of sine and cosine
-    coefficients becomes (p*cos c - q*sin c, p*sin c + q*cos c)."""
-    f1, f2, f3, f4, f5 = coeffs
-    s, co = math.sin(c), math.cos(c)
-    a, e = f2 + c * f4, f3 + c * f5
-    return EnvelopeCoeffs(f1, a * co - e * s, a * s + e * co, f4 * co - f5 * s, f4 * s + f5 * co)
-
-
 def _csc_from_beta(
-    scenario: Scenario, variant: Variant, n: int, beta: float, alpha: float, trig: tuple[float, float]
+    consts: tuple, variant: Variant, beta: float, alpha: float, gamma: float
 ) -> _Proposal | None:
-    """The proposal of a root at straight heading beta and first arc alpha, or
-    None when it belongs to another wrap branch or gives a negative length."""
-    tol = scenario.tol
-    wx, wy = scenario.wind.wx, scenario.wind.wy
+    """The proposal of a root at straight heading beta with first arc alpha
+    and last arc gamma, within feas_tol of its own wrap branch, or None when
+    it gives a negative length.  ``consts`` are ``_csc_equations``'."""
+    X, Y, wx, wy, sin_f, cos_f, feas = consts
     sigma, kappa = variant.sigma, variant.kappa
-    # The last arc comes from the branch's arc sum, not from mod2pi: a root on
-    # a branch boundary then gets the full turn (2*pi) or the empty one (0)
-    # that its own branch implies.
-    gamma = _csc_arc_sum(variant, beta, scenario.theta_f, n) - alpha
-    if not -tol.feas_tol <= gamma <= TWO_PI + tol.feas_tol:
-        return None  # root belongs to a different wrap branch
     gamma = max(0.0, gamma)
     arc_time = alpha + gamma
     sb, cb = math.sin(beta), math.cos(beta)
     # Balance: goal - arc_time*w minus the first-arc end -sigma*(1 - sin b, cos b)
     # minus the last arc's offset -kappa*(sin b - sin th_f, cos th_f - cos b).
-    rx = scenario.target_x - arc_time * wx + sigma * (1.0 - sb) + kappa * (sb - trig[0])
-    ry = scenario.target_y - arc_time * wy + sigma * cb + kappa * (trig[1] - cb)
-    dx = cb + wx
-    dy = sb + wy
+    rx = X - arc_time * wx + sigma * (1.0 - sb) + kappa * (sb - sin_f)
+    ry = Y - arc_time * wy + sigma * cb + kappa * (cos_f - cb)
+    dx, dy = cb + wx, sb + wy
     d = rx / dx if abs(dx) >= abs(dy) else ry / dy
-    if d < -tol.feas_tol * (1.0 + arc_time):
+    if d < -feas * (1.0 + arc_time):
         return None
     d = max(0.0, d)
     schedule = ControlSchedule(((sigma, alpha), (0, d), (kappa, gamma)))
     return variant, SegmentParams(alpha=alpha, beta=mod2pi(beta), gamma=gamma, d=d), schedule
-
-
-def _csc_degenerate(variant: Variant, arc_sum: float) -> _Proposal:
-    """Balance identically zero for an RSR/LSL branch: d = 0 is forced and the
-    split of the single-direction arc is arbitrary; propose an even split."""
-    alpha = gamma = 0.5 * arc_sum
-    beta = mod2pi(HALF_PI + variant.sigma * alpha)
-    schedule = ControlSchedule(((variant.sigma, alpha), (0, 0.0), (variant.kappa, gamma)))
-    return variant, SegmentParams(alpha=alpha, beta=beta, gamma=gamma), schedule
 
 
 def solve_all(scenario: Scenario) -> list[PathCandidate]:

@@ -248,10 +248,18 @@ def propagate(
 
 def integrate(start: RelativeState, schedule: ControlSchedule, rho: float) -> RelativeState:
     """Closed-form endpoint of a piecewise arc/line path.  No ODE stepping:
-    each piece is propagated exactly, so composition is exact as well."""
+    each piece is propagated exactly, as ``propagate`` does bit for bit, and
+    carries its heading's sine and cosine into the next piece."""
     x, y, th = start.x, start.y, start.theta
+    s, c = math.sin(th), math.cos(th)
     for u, dur in schedule.pieces:
-        x, y, th = propagate(x, y, th, u, dur, rho)
+        if u and dur:
+            cx, cy = x - u * rho * s, y + u * rho * c
+            th = th + u * dur / rho
+            s, c = math.sin(th), math.cos(th)
+            x, y = cx + u * rho * s, cy - u * rho * c
+        elif dur:
+            x, y = x + dur * c, y + dur * s
     return RelativeState(x, y, th)
 
 

@@ -22,6 +22,8 @@ from .geometry import DEFAULT_START, HALF_PI, Scenario, _Record, mod2pi, normali
 _TIE_EPS = 1e-12
 #: Row ceiling of ``sample``: a step that would give more rows is rejected.
 MAX_SAMPLE_ROWS = 10**6
+#: ``per_family_times`` of a plan with no candidate, in ``Family`` order
+_NO_TIMES = dict.fromkeys(Family, math.inf)
 
 
 class ValidationReport(
@@ -91,17 +93,14 @@ def plan(scenario: Scenario) -> PlanResult:
     norm = normalize(scenario)
     candidates = solve_all(norm)
     tie = _TIE_EPS * norm.rho
-    ordered = tuple(
-        sorted(candidates, key=lambda c: (c.total_time, c.variant.order))
-    )
+    ordered = tuple(sorted(candidates, key=lambda c: (c.total_time, c.variant.order)))
     best = ordered[0] if ordered else None
     for cand in ordered[1:]:  # never faster than best: ordered is sorted by time
         if cand.total_time - best.total_time <= tie and cand.variant.order < best.variant.order:
             best = cand
-    per_family = {family: math.inf for family in Family}
-    for cand in ordered:
-        fam = cand.variant.family
-        per_family[fam] = min(per_family[fam], cand.total_time)
+    per_family = _NO_TIMES.copy()
+    for cand in reversed(ordered):  # slowest first, so each family ends at its fastest
+        per_family[cand.variant.family] = cand.total_time
 
     return PlanResult(
         best=best,
@@ -139,7 +138,7 @@ def sample(candidate: PathCandidate, dt: float, scenario: Scenario) -> list[Traj
             times.append(switch)
     times.append(total)
     times.sort()
-    eps = 1e-12 * max(1.0, total)  # over a switch time's rounding, under dt if total > 1e-6
+    eps = 1e-12 * total  # over a switch time's rounding (ulps of total), under dt >= 1e-6 * total
     merged: list[float] = []
     for t in times:
         if not merged or t - merged[-1] > eps:

@@ -15,8 +15,12 @@ runs of ``bench/run.py``; here both trees see the same drift.
 
 Prints p50, p99 and the sum of the per-operation fastest calls for each tree,
 the change from A to B, how many operations were faster in B and how many
-gave a different output.  For ``batch-csv`` the two trees must also write
-identical bytes for every line; the exit status is 1 when they do not.
+gave a different output.  A ``plan-mixed`` output is every candidate's
+label, params, time and residual, in plan order, so a candidate that moves
+counts even when the best does not; a ``roots-direct`` output is each
+solver's roots and tangential flags.  For ``batch-csv`` the two trees must
+also write identical bytes for every line; the exit status is 1 when they
+do not.
 """
 
 from __future__ import annotations
@@ -66,7 +70,10 @@ def plan_mixed(wl, pkg, workdir, tag):
         )
 
     def digest(result):
-        return None if result.best is None else (result.best.variant.label, result.t_f)
+        return tuple(
+            (c.variant.label, tuple(c.params), c.total_time, c.residual)
+            for c in result.all_candidates
+        )
 
     return pkg.planner.plan, [make(*raw) for raw in wl.raw], digest
 

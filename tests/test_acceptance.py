@@ -28,7 +28,7 @@ from windubins import (
     solve_quadcos,
     validate,
 )
-from windubins.families import _ccc_coeffs
+from windubins.families import _ccc_equations
 from windubins.geometry import TWO_PI, ang_dist
 
 from conftest import (
@@ -95,7 +95,7 @@ def test_criterion_7_performance():
     # not the code.  Each batch yields a median; external interference only
     # ever adds time, so the best batch median is the honest figure.
     scenario = make_case1()
-    coeffs, *_ = _ccc_coeffs(scenario, -1, 1, (math.sin(scenario.theta_f), math.cos(scenario.theta_f)))
+    coeffs = next(eq[2] for eq in _ccc_equations(scenario) if eq[:2] == (-1, 1))
     tol = ToleranceSet()
     for _ in range(100):
         solve_quadcos(coeffs, tol)

@@ -186,6 +186,24 @@ def _state_at_one(start, schedule, rho, t):
     return (x, y, mod2pi(th), control)
 
 
+def test_integrate_is_the_propagate_chain_bit_for_bit():
+    # integrate carries each piece's sine and cosine into the next piece; it
+    # must give exactly what propagating piece by piece gives, with lines,
+    # zero-duration pieces and any turn radius.
+    rng = random.Random(22)
+    for _ in range(500):
+        pieces = tuple(
+            (rng.choice((-1, 0, 1)), rng.choice((0.0, rng.uniform(0.0, 5.0))))
+            for _ in range(rng.randint(1, 4))
+        )
+        rho = 10.0 ** rng.uniform(-3.0, 3.0)
+        start = RelativeState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, TWO_PI))
+        x, y, th = start
+        for u, dur in pieces:
+            x, y, th = propagate(x, y, th, u, dur, rho)
+        assert integrate(start, ControlSchedule(pieces), rho) == RelativeState(x, y, th)
+
+
 def test_state_at_matches_per_time_walk():
     # One walk of the schedule must give bit for bit what walking it from
     # t = 0 for every time gives, at switch times and past the end too.

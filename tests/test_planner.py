@@ -122,6 +122,19 @@ def test_plan_reports_infeasible_with_widening():
     assert all(t == math.inf for t in result.per_family_times.values())
 
 
+def test_per_family_times_are_each_plans_own(case1):
+    # per_family_times starts from one module-level template on every plan:
+    # each family's fastest time or +inf, keyed in Family order, in a dict of
+    # the plan's own that changing cannot reach another plan.
+    result = plan(case1)
+    fastest = {fam: math.inf for fam in Family}
+    for c in result.all_candidates:
+        fastest[c.variant.family] = min(fastest[c.variant.family], c.total_time)
+    assert list(result.per_family_times.items()) == list(fastest.items())
+    result.per_family_times[Family.SC] = 0.0
+    assert plan(case1).per_family_times[Family.SC] == math.inf
+
+
 def test_validate_solver_candidates(case1):
     for cand in plan(case1).all_candidates:
         report = validate(cand, case1)
@@ -239,6 +252,17 @@ def test_sample_keeps_every_row_of_a_short_path():
     rows = sample(straight[0], 1e-7, sc)
     assert len(rows) == 10**4 + 1
     assert min(b.t - a.t for a, b in zip(rows, rows[1:])) > 0.99e-7
+
+
+def test_sample_keeps_every_row_of_a_path_shorter_than_1e_6():
+    # Still air, goal 1e-9 ahead: sampled every 1e-14, the path has 10^5 grid
+    # rows besides its switch times and end.  The slack is relative to the
+    # path's time; an absolute 1e-12 folded grid times closer than that into
+    # one row and returned 992 rows.
+    sc = Scenario(wind=WindVector(0.0, 0.0), target_x=0.0, target_y=1e-9, theta_f=HALF_PI, rho=1.0)
+    rows = sample(plan(sc).best, 1e-14, sc)
+    assert len(rows) == 100_003
+    assert all(a.t < b.t for a, b in zip(rows, rows[1:]))
 
 
 def test_sample_rejects_bad_dt(case1):
