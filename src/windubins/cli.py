@@ -133,10 +133,8 @@ def _format_csv(result: PlanResult, scenario: Scenario, dt: float) -> str:
         rows = sample(result.best, dt, scenario)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append("%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g" % r)
-    return "\n".join(lines) + "\n"
+    row = "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g\n"
+    return CSV_HEADER + "\n" + "".join([row % r for r in rows])
 
 
 def _emit(result: PlanResult, scenario: Scenario, args: argparse.Namespace) -> str:

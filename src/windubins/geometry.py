@@ -266,39 +266,44 @@ def integrate(start: RelativeState, schedule: ControlSchedule, rho: float) -> Re
 def state_at(
     start: RelativeState, schedule: ControlSchedule, rho: float, times: list[float]
 ) -> list[tuple[float, float, float, int]]:
-    """Pose and control at each of ``times`` along a schedule.
-
-    Each piece is propagated in full once; a time inside a piece propagates
-    from that piece's start pose only.  A time past the end takes the end
-    pose.  The heading is wrapped to [0, 2*pi).  The control is the one active
-    on [t, next switch): at a switch time the pose ends the earlier piece and
-    the control starts the next one, and past the end it is the last piece's.
-    """
-    pieces = schedule.pieces
-    poses, ends = [], []  # pose at each piece's start; running sum d0 + d1 + ...
+    """Pose and control at each of ``times``, which must be ascending, along
+    a schedule, in one walk: each piece's start pose and arc centre (or
+    heading cosine and sine) are computed once, and a time inside the piece
+    takes ``propagate``'s formula from there, bit for bit.  Time t is inside
+    piece i when t - d0 - ... - d(i-1), subtracted in that order, is at most
+    d(i).  A time past the end takes the end pose.  The heading is wrapped to
+    [0, 2*pi).  The control is the one active on [t, next switch): at a switch
+    time the pose ends the earlier piece and the control starts the next one,
+    and past the end it is the last piece's."""
+    pieces = schedule.pieces or ((0, 0.0),)  # no pieces: the start pose throughout
+    last, j = len(pieces) - 1, 0
+    ctl, switch = pieces[0]  # the control's piece j, its u and its end time
     x, y, th = start.x, start.y, start.theta
-    acc = 0.0
-    for u, dur in pieces:
-        poses.append((x, y, th))
+    rows, before = [], []  # before: the durations of the pieces passed
+    for i, (u, dur) in enumerate(pieces):
+        c, s, wrapped, ur = math.cos(th), math.sin(th), mod2pi(th), u * rho
+        cx, cy = x - ur * s, y + ur * c  # propagate's arc centre
+        for t in times[len(rows):]:  # the piece never goes back along ascending times
+            remaining = t
+            for d in before:
+                remaining -= d
+            if not remaining <= dur:
+                if i < last:
+                    break
+                remaining = dur  # past the end: the end of the last piece
+            while not t < switch and j < last:  # the first piece to end after t
+                j += 1
+                ctl, d = pieces[j]
+                switch += d  # the running sum d0 + d1 + ..., in order
+            if remaining == 0.0:  # propagate's zero-duration rule
+                rows.append((x, y, wrapped, ctl))
+            elif u:
+                th2 = th + u * remaining / rho
+                rows.append((cx + ur * math.sin(th2), cy - ur * math.cos(th2), mod2pi(th2), ctl))
+            else:
+                rows.append((x + remaining * c, y + remaining * s, wrapped, ctl))
         x, y, th = propagate(x, y, th, u, dur, rho)
-        acc += dur
-        ends.append(acc)
-    end = (x, y, th)
-    rows = []
-    for t in times:
-        remaining = t
-        for (u, dur), (x, y, th) in zip(pieces, poses):
-            if remaining <= dur:
-                x, y, th = propagate(x, y, th, u, remaining, rho)
-                break
-            remaining -= dur
-        else:
-            x, y, th = end
-        u = 0
-        for (u, _), end_t in zip(pieces, ends):
-            if t < end_t:
-                break
-        rows.append((x, y, mod2pi(th), u))
+        before.append(dur)
     return rows
 
 

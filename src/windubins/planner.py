@@ -153,8 +153,9 @@ def sample(candidate: PathCandidate, dt: float, scenario: Scenario) -> list[Traj
     angle = HALF_PI - sth
     c, s = math.cos(angle), math.sin(angle)
     wx, wy = scenario.wind.wx, scenario.wind.wy
-    rows = []
+    new, rows = tuple.__new__, []  # TrajectoryPoint checks nothing, so skip its __new__
     for t, (x, y, th, u) in zip(merged, state_at(DEFAULT_START, schedule, scenario.rho, merged)):
         xw, yw = c * x + s * y + ox, -s * x + c * y + oy
-        rows.append(TrajectoryPoint(t, xw, yw, mod2pi(th - angle), u, xw + t * wx, yw + t * wy))
+        point = (t, xw, yw, mod2pi(th - angle), u, xw + t * wx, yw + t * wy)
+        rows.append(new(TrajectoryPoint, point))
     return rows

@@ -216,11 +216,12 @@ def _monotone_roots(
     opposite signs at the two neighbouring knots, which carry its sign on
     each side because G is monotone there; within ``_KNOT_EDGE`` of lo or hi
     it is a plain crossing.  A stationary point where |G| is within
-    ``graze`` is a tangential (grazing) root.
+    ``graze`` is a tangential (grazing) root, unless G changes sign on both
+    pieces that meet there: then the two crossings are the contact.
     """
-    found, tangents = [], []
+    found, tangents, knots = [], [], sorted({lo, hi, *stationary})
     a, fa, left = lo, math.nan, math.nan  # the last knot, G there and at the one before
-    for b in sorted({lo, hi, *stationary}):
+    for b in knots:
         fb = fused(b)[0]
         if fa == 0.0:
             edge = a - _KNOT_EDGE < lo or a + _KNOT_EDGE > hi  # a = lo leaves left unused
@@ -230,6 +231,11 @@ def _monotone_roots(
         if b in stationary and abs(fb) <= graze:
             tangents.append((b, True))
         a, fa, left = b, fb, fa
+    if tangents:  # rare, so checked here and not at every knot
+        g = [fused(k)[0] for k in knots]
+        for i in range(1, len(g) - 1):
+            if min(g[i - 1], g[i + 1]) > 0.0 > g[i] or max(g[i - 1], g[i + 1]) < 0.0 < g[i]:
+                tangents = [tg for tg in tangents if tg[0] != knots[i]]
     return found + tangents
 
 

@@ -4,7 +4,7 @@ records, or compare two such dumps.
     PYTHONPATH=src python3 tests/parity_dump.py OUT
     python3 tests/parity_dump.py --compare A B
 
-A dump holds one line per record, a key and then its fields, over four
+A dump holds one line per record, a key and then its fields, over five
 corpora:
 
 * ``random``: 3000 plans with |w| <= 0.95, rho in {0.5, 1, 2.5}, the goal
@@ -13,11 +13,15 @@ corpora:
   0, (+-0.5, 0), (0, +-0.5) and (0.3, 0.4), and theta_f a multiple of pi/4;
 * ``roots-901`` and ``roots-601``: the 3000 draws of U[-10, 10] coefficients
   that ``bench/workloads.py``'s ``roots-direct`` makes from seeds 901 and
-  601, each solved by the three root solvers on their default domain.
+  601, each solved by the three root solvers on their default domain;
+* ``samples``: the rows of ``sample(best, t_f / 37, scenario)`` for the first
+  600 ``random`` plans, so posed starts and rho != 1 are covered, which the
+  ``batch-csv`` workload never draws.
 
 A plan record holds the best label and t_f, then each candidate in plan
 order: its label, params, time and residual, and its ``validate`` report.
-A root record holds each shape's roots and tangential flags.
+A root record holds each shape's roots and tangential flags.  A samples
+record holds each row's fields, the control as an integer.
 
 ``--compare`` lists the records that differ, with the largest relative change
 of a candidate time and of a param between candidates at the same place with
@@ -32,6 +36,8 @@ import sys
 
 #: the ``roots-direct`` seeds whose draws are dumped
 ROOT_SEEDS = (901, 601)
+#: the ``random`` plans whose sampled rows are dumped, and rows per path
+SAMPLED_PLANS, SAMPLE_STEPS = 600, 37
 
 
 def _hex(values) -> str:
@@ -88,6 +94,16 @@ def plan_record(scenario) -> str:
     return " ".join(fields)
 
 
+def sample_record(scenario) -> str:
+    from windubins.planner import plan, sample
+
+    best = plan(scenario).best
+    if best is None:
+        return "-"
+    rows = sample(best, best.total_time / SAMPLE_STEPS, scenario)
+    return " ".join(f"{_hex(r[:4])},{r.u},{_hex(r[5:])}" for r in rows)
+
+
 def root_records(seed: int):
     from windubins import EnvelopeCoeffs, QuadCosCoeffs, SinusoidCoeffs
     from windubins.rootfind import solve_envelope, solve_quadcos, solve_sinusoid
@@ -109,6 +125,8 @@ def dump(path: str) -> None:
     with open(path, "w", encoding="utf-8") as out:
         for key, scenario in (*random_scenarios(), *integer_scenarios()):
             out.write(f"{key} {plan_record(scenario)}\n")
+        for i, (_, scenario) in zip(range(SAMPLED_PLANS), random_scenarios()):
+            out.write(f"samples/{i} {sample_record(scenario)}\n")
         for seed in ROOT_SEEDS:
             for key, record in root_records(seed):
                 out.write(f"{key} {record}\n")
@@ -153,6 +171,12 @@ def compare(path_a: str, path_b: str) -> int:
         row[1] += 1
         if ra is None or rb is None or corpus.startswith("roots"):
             print(f"{key}\n  A: {ra}\n  B: {rb}")
+            continue
+        if corpus == "samples":
+            rows = list(zip(ra.split(" "), rb.split(" ")))
+            moved = [i for i, (x, y) in enumerate(rows) if x != y]
+            print(f"{key}: {len(moved)} of {len(rows)} rows differ, row counts"
+                  f" {ra.count(' ') + 1} -> {rb.count(' ') + 1}")
             continue
         same_labels, d_time, d_param = _plan_changes(ra, rb)
         row[2] += not same_labels

@@ -8,6 +8,7 @@ from windubins import (
     PathCandidate,
     Scenario,
     ToleranceSet,
+    TrajectoryPoint,
     Variant,
     WindVector,
     normalize,
@@ -226,6 +227,86 @@ def test_state_at_matches_per_time_walk():
         )
         expected = [_state_at_one(start, sched, rho, t) for t in times]
         assert state_at(start, sched, rho, times) == expected
+
+
+def _adversarial_schedule(rng):
+    """Pieces where the walk can slip: zero-length runs and durations down to
+    1e-12, beside ordinary ones."""
+    pieces = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        if kind < 0.25:
+            pieces += [(rng.choice((-1, 0, 1)), 0.0)] * rng.randint(1, 3)
+        elif kind < 0.5:
+            pieces.append((rng.choice((-1, 0, 1)), 10.0 ** rng.uniform(-12.0, 0.0)))
+        else:
+            pieces.append((rng.choice((-1, 0, 1)), rng.uniform(0.0, 5.0)))
+    return ControlSchedule(tuple(pieces))
+
+
+def test_state_at_matches_per_time_walk_at_the_edges():
+    # The cursor must agree bit for bit with the per-time walk where piece
+    # selection is closest: at each switch time and 1 ulp either side of it,
+    # on consecutive zero-length pieces and durations down to 1e-12, past
+    # the end, and on no times at all.
+    assert state_at(START, ControlSchedule(()), 1.0, [0.0, 1.0]) == [(0.0, 0.0, HALF_PI, 0)] * 2
+    rng = random.Random(25)
+    for _ in range(400):
+        sched = _adversarial_schedule(rng)
+        rho = rng.choice((0.5, 1.0, 2.5, 10.0 ** rng.uniform(-3.0, 3.0)))
+        start = RelativeState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, TWO_PI))
+        assert state_at(start, sched, rho, []) == []
+        acc, times = 0.0, [0.0]
+        for _, dur in sched.pieces:
+            acc += dur
+            times += [math.nextafter(acc, 0.0), acc, math.nextafter(acc, math.inf)]
+        total = sched.total_duration
+        times += [rng.uniform(0.0, total) for _ in range(10)]
+        times += [total, math.nextafter(total, math.inf), total + 1e-12, total + 1.0]
+        times.sort()
+        expected = [_state_at_one(start, sched, rho, t) for t in times]
+        assert state_at(start, sched, rho, times) == expected
+    # Past the end by the walk's subtractions, yet before the running sum of
+    # the first three durations: the control is the third piece's, not the last.
+    sched = ControlSchedule(
+        ((1, 0.6758128991454659), (0, 2.0), (-1, 7.615846991095876e-07), (1, 1e-16))
+    )
+    t = 2.675813660730165
+    assert state_at(START, sched, 1.0, [t]) == [_state_at_one(START, sched, 1.0, t)]
+    assert state_at(START, sched, 1.0, [t])[0][3] == -1
+
+
+def test_sample_rows_match_a_per_row_walk():
+    # Every row of sample, rebuilt on its own: the pose walked from t = 0 in
+    # the planning frame, then mapped to the caller's frame as ``normalize``
+    # is undone, bit for bit, from posed starts at rho != 1.
+    rng = random.Random(26)
+    for rho in (0.5, 2.5):
+        for _ in range(40):
+            start = (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, TWO_PI))
+            sc = Scenario(
+                wind=WindVector(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)),
+                target_x=start[0] + rng.uniform(-8, 8) * rho,
+                target_y=start[1] + rng.uniform(-8, 8) * rho,
+                theta_f=rng.uniform(0, TWO_PI),
+                rho=rho,
+                start=start,
+            )
+            sched = _adversarial_schedule(rng)
+            total = sched.total_duration
+            if total == 0.0:  # sample needs a positive step
+                continue
+            cand = PathCandidate(Variant.LSL, SegmentParams(), total, sched, 0.0)
+            rows = sample(cand, total / rng.uniform(3.0, 60.0), sc)
+            angle = HALF_PI - sc.start[2]
+            c, s = math.cos(angle), math.sin(angle)
+            wx, wy = sc.wind
+            for row in rows:
+                x, y, th, u = _state_at_one(START, sched, rho, row.t)
+                xw, yw = c * x + s * y + start[0], -s * x + c * y + start[1]
+                assert type(row) is TrajectoryPoint
+                want = (row.t, xw, yw, mod2pi(th - angle), u, xw + row.t * wx, yw + row.t * wy)
+                assert row == want
 
 
 def test_integrate_straight_segment():

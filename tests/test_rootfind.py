@@ -265,6 +265,21 @@ def test_exact_zero_at_a_knot(power, zero, tangential):
     assert rs.tangential == (tangential,)
 
 
+def test_shallow_crossing_pair_is_two_roots():
+    # G = (b - pi)^2 - 1e-7 dips below zero by less than graze at its
+    # stationary point pi, 3.2e-4 from each sign change, farther than the
+    # merge window: the two crossings are the contact, and pi is no third,
+    # tangential root.
+    half = math.sqrt(1e-7)
+    rs = solve_quadcos(QuadCosCoeffs(1.0, -TWO_PI, 0.0, math.pi**2 - 1e-7), TOL)
+    assert rs.tangential == (False, False)
+    assert rs.roots == pytest.approx((math.pi - half, math.pi + half), abs=1e-9)
+    # Raised by as much instead, G does not cross, and pi is a tangential root.
+    rs = solve_quadcos(QuadCosCoeffs(1.0, -TWO_PI, 0.0, math.pi**2 + 1e-7), TOL)
+    assert rs.tangential == (True,)
+    assert rs.roots == pytest.approx((math.pi,), abs=1e-12)
+
+
 def test_sign_change_between_tiny_values():
     # G(0) = 3.4e-227 > 0 > G(2*pi) = -6.2e-206: the product of the two
     # underflows to -0.0, yet the sign change holds the root c4/|c2|.
