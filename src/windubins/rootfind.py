@@ -12,7 +12,14 @@ each of those pieces holds at most one sign change (``_monotone_roots``).
 
 * quadcos: G'' = 2*c1 - c3*cos(b) has at most two roots (an arccosine), so G'
   is monotone on at most three pieces and has at most one root on each,
-  which ``_monotone_roots`` finds as it finds those of G.
+  which ``_monotone_roots`` finds as it finds those of G.  Where c3 > 0 and
+  Q = c1*b^2 + c2*b + c4 + c3 >= 0 for every b, as in each CCC equation
+  (Q = |v(b)|^2 with v affine in b: the tangency condition |v| = 4*sin(b/2)),
+  G = H*S with H = sqrt(Q) - sqrt(2*c3)*sin(b/2) convex on [0, 2*pi] and
+  S >= |H|.  A convex H has at most two roots, and its tangents lie below
+  it, so H and H' at the ends and at most one more point settle where they
+  are: at most one bracketed solve of H' and two of H (``_convex_roots``).
+  Where G may graze zero there, the stationary-point path decides.
 * envelope: G' = P*sin(b) + Q*cos(b) = R*sin(h) with P = f4 - f3 - f5*b,
   Q = f2 + f5 + f4*b, R = hypot(P, Q) and the phase h = b + phi, where phi
   is the polar angle of (P, Q).  That point moves along a straight line, so
@@ -157,11 +164,12 @@ def _root_set(found: list[tuple[float, bool]]) -> RootSet:
     return RootSet(roots, tangential)
 
 
-def _refine(fused, lo: float, hi: float, flo: float, level: float = 0.0) -> float:
+def _refine(fused, lo: float, hi: float, flo: float, level: float = 0.0, x: float | None = None) -> float:
     """Safeguarded Newton inside a sign-change bracket of value - ``level``.
 
     ``fused(x)`` returns (value, derivative), and ``flo`` is value - level at
-    ``lo``.  Each step starts from an end of the current bracket.  A Newton
+    ``lo``.  The first point is ``x``, inside (lo, hi), or else the
+    midpoint.  Each step starts from an end of the current bracket.  A Newton
     step that would leave the bracket falls back to bisection, and from the
     ninth step on so does one not shorter than 0.9 of the bracket.  So a
     Newton step that overshoots the root leaves a bracket at most 0.9 as
@@ -171,7 +179,8 @@ def _refine(fused, lo: float, hi: float, flo: float, level: float = 0.0) -> floa
     end or just past it probes half the closing width inside that end.  The
     bracket closes around the root at machine width, and the root returned is
     the bracket end where |value - level| is smaller."""
-    x = 0.5 * (lo + hi)
+    if x is None:
+        x = 0.5 * (lo + hi)
     neg = flo < 0.0
     fhi = math.inf
     for n in range(120):
@@ -267,19 +276,30 @@ def solve_quadcos(
     whose extremes on [lo, hi] lie at the ends or the vertex; if q clears
     |c3| + graze (plus rounding) with one sign, G has no root there.
 
-    Otherwise, subdivision order: the at-most-two closed-form roots of G''
-    split the domain into pieces where G' is monotone; bracketed solves give
-    every root of G' (at most three); those stationary points in turn split
-    the domain into at most four pieces where G itself is monotone.
+    Then the convex factor, where the record has one (``_convex_roots``):
+    at most three bracketed solves and six single evaluations.  A record
+    that has none, or that may graze zero, takes the generic path, after at
+    most one bracketed solve and four evaluations on the factor.
+
+    Generic path, in subdivision order: the at-most-two closed-form roots of
+    G'' split the domain into pieces where G' is monotone; bracketed solves
+    give every root of G' (at most three); those stationary points in turn
+    split the domain into at most four pieces where G itself is monotone:
+    at most seven bracketed solves.
     """
     lo, hi = domain if domain is not None else (0.0, TWO_PI)
     if not hi > lo:
         return _EMPTY
     coeffs, scale = _rescaled(coeffs)
     graze = tol.feas_tol * scale
-    if _quadcos_rootless(coeffs, lo, hi, graze + _ROUNDING * scale):
+    slack = graze + _ROUNDING * scale
+    if _quadcos_rootless(coeffs, lo, hi, slack):
         return _EMPTY
     c1, c2, c3, c4 = coeffs
+    if c3 > 0.0 <= c1:  # the signs a convex factor needs
+        found = _convex_roots(coeffs, lo, hi, slack)
+        if found is not None:
+            return _root_set(found)
     two_c1 = 2.0 * c1
     cos, sin = math.cos, math.sin
 
@@ -303,6 +323,135 @@ def solve_quadcos(
     # zero.
     stationary = [r for r, _ in _monotone_roots(gp_fused, lo, hi, inflections, -1.0)]
     return _root_set(_monotone_roots(g_fused, lo, hi, stationary, graze))
+
+
+def _floor(a: float, ha: float, da: float, c: float, hc: float, dc: float) -> tuple[float, float]:
+    """Where the tangents of a convex H at a < c meet, given H and H' there
+    with da < 0 < dc, and their value there: a lower bound on H over [a, c]."""
+    t = min(max((hc - ha - dc * (c - a)) / (da - dc), 0.0), c - a)
+    return a + t, ha + da * t
+
+
+def _clears(low: float, s: float, slack: float) -> bool:
+    """Whether H >= low > 0, with S >= H + 2*s, keeps |G| = H*S above slack."""
+    return low > 0.0 and low * (low + 2.0 * s) > slack
+
+
+def _polished(fused, lo: float, hi: float, flo: float, a: float, ha: float, da: float) -> tuple[float, bool]:
+    """The root of a convex H in the sign-change bracket [lo, hi], where H is
+    flo at lo, as a (root, tangential) detection.
+
+    ``_refine`` starts where the tangent at a, the end where H = ha > 0 and
+    H' = da, meets zero: between a and the root, since H lies above its
+    tangents.  It stops once its bracket is 1e-14 + 4e-16*x wide, several
+    ulps, so one Newton step follows, kept when it is no longer than that
+    and stays in [lo, hi]: the root then lies within an ulp or two of the
+    coefficients' own root."""
+    x = a - ha / da if da else lo
+    x = _refine(fused, lo, hi, flo, 0.0, x if lo < x < hi else None)
+    h, dh = fused(x)
+    y = x - h / dh if dh else x
+    return (y if abs(y - x) <= 1e-14 + 4.0e-16 * x and lo <= y <= hi else x), False
+
+
+def _h_evaluators(c1: float, c2: float, q0: float, k: float, dd: float):
+    """(H, H') and (H', H'') of H = sqrt(Q) - k*sin(b/2), Q = c1*b^2 + c2*b +
+    q0 >= dd >= 0, in the fused form ``_refine`` takes.  Built apart from
+    ``_convex_roots``, so that a record it turns away pays for no closure."""
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    half_k, quarter_k, half_c2 = 0.5 * k, 0.25 * k, 0.5 * c2
+
+    def h_fused(b: float) -> tuple[float, float]:
+        q, x = (c1 * b + c2) * b + q0, 0.5 * b
+        if q > 0.0:  # else the kink of sqrt(Q), or rounding below it: take 0
+            r = sqrt(q)
+            return r - k * sin(x), (c1 * b + half_c2) / r - half_k * cos(x)
+        return -k * sin(x), -half_k * cos(x)
+
+    def hp_fused(b: float) -> tuple[float, float]:
+        q, x = (c1 * b + c2) * b + q0, 0.5 * b
+        if q > 0.0:  # sqrt(Q)'' = c1*D/Q^(3/2)
+            r = sqrt(q)
+            return (c1 * b + half_c2) / r - half_k * cos(x), c1 * dd / q / r + quarter_k * sin(x)
+        return -half_k * cos(x), 0.0  # H' jumps at the kink: bisect
+
+    return h_fused, hp_fused
+
+
+def _convex_roots(coeffs: QuadCosCoeffs, lo: float, hi: float, slack: float):
+    """The detections of ``solve_quadcos`` on [lo, hi) through the convex
+    factor of G, for c3 > 0 <= c1, or None where G has none or may graze
+    zero: the generic path then decides.
+
+    cos(b) = 1 - 2*sin(b/2)^2 gives G = Q - k^2*sin(b/2)^2 = H*S, with
+    Q = c1*b^2 + c2*b + c4 + c3, k = sqrt(2*c3), H = sqrt(Q) - k*sin(b/2) and
+    S = sqrt(Q) + k*sin(b/2).  Where D = Q(-c2/(2*c1)), the least Q, is
+    >= 0 (c1 = c2 = 0 <= c4 + c3 for c1 = 0), sqrt(Q) = hypot(sqrt(c1)*(b -
+    b0), sqrt(D)) is a norm of an affine map, and sin(b/2) is concave on
+    [0, 2*pi]: H is convex.  S - H = 2*k*sin(b/2) >= 0 and S + H =
+    2*sqrt(Q) >= 0, so S >= |H|, G and H have the same roots, and |G| >=
+    |H|*S.  With s the smaller of k*sin(b/2) at the ends, below it inside:
+
+    * H(lo) and H(hi) of opposite signs: one root, one bracketed solve.
+    * Both negative: no root, and |G| >= M*max(M, s), M = -max(H(lo), H(hi)).
+    * Both positive, H monotone: no root, and |G| >= L*(L + 2*s), L the
+      smaller end value.
+    * A valley, H'(lo) < 0 < H'(hi): the end tangents meet at b* at a value
+      L below H.  If L > 0, as above.  Else if H(b*) < 0, one root on each
+      side of b*.  Else the tangent at b* tells the side of H's least point
+      m, and may lift L; else m is the root of the increasing H' there, and
+      H(m) < 0 gives two roots, H(m) > 0 none.
+
+    A no-root verdict stands only when its bound on |G| exceeds ``slack``
+    (graze plus rounding): otherwise G may graze zero, and the generic path,
+    which reports grazing roots at G's own stationary points, decides, as it
+    does where H is exactly zero at a knot.
+    """
+    c1, c2, c3, c4 = coeffs
+    q0 = c4 + c3
+    if c1 > 0.0:
+        dd = q0 + 0.25 * c2 * (-c2 / c1)  # D = Q(-c2/(2*c1)), the least Q
+    elif c1 == 0.0 == c2:
+        dd = q0
+    else:
+        return None
+    if not dd >= 0.0:
+        return None
+    k = math.sqrt(2.0 * c3)
+    h_fused, hp_fused = _h_evaluators(c1, c2, q0, k, dd)
+    h_lo, d_lo = h_fused(lo)
+    h_hi, d_hi = h_fused(hi)
+    if h_lo < 0.0 < h_hi or h_hi < 0.0 < h_lo:
+        ends = (lo, h_lo, d_lo) if h_lo > 0.0 else (hi, h_hi, d_hi)
+        return [_polished(h_fused, lo, hi, h_lo, *ends)]
+    # k*sin(b/2) >= s on [lo, hi], since sin(b/2) is concave there
+    s = k * min(math.sin(0.5 * lo), math.sin(0.5 * hi))
+    if h_lo < 0.0 and h_hi < 0.0:  # H < 0: |G| >= M*S, S >= max(M, s)
+        m = -max(h_lo, h_hi)
+        return [] if m * max(m, s) > slack else None
+    if not (h_lo > 0.0 and h_hi > 0.0):
+        return None  # an exact zero at an end
+    # H > 0 at both ends: |G| >= L*(L + 2*s) where H >= L.
+    if d_lo >= 0.0 or d_hi <= 0.0:  # monotone
+        return [] if _clears(min(h_lo, h_hi), s, slack) else None
+    split, low = _floor(lo, h_lo, d_lo, hi, h_hi, d_hi)
+    if _clears(low, s, slack):
+        return []
+    h_s, d_s = h_fused(split)
+    if not h_s < 0.0:  # then split at H's least point instead
+        if not h_s > 0.0:
+            return None
+        side = (split, h_s, d_s, hi, h_hi, d_hi) if d_s < 0.0 else (lo, h_lo, d_lo, split, h_s, d_s)
+        if _clears(_floor(*side)[1], s, slack):
+            return []
+        split = _refine(hp_fused, side[0], side[3], side[2])
+        h_s = h_fused(split)[0]
+        if not h_s < 0.0:
+            return [] if _clears(h_s, s, slack) else None
+    return [
+        _polished(h_fused, lo, split, h_lo, lo, h_lo, d_lo),
+        _polished(h_fused, split, hi, h_s, hi, h_hi, d_hi),
+    ]
 
 
 def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet = DEFAULT_TOLERANCES) -> RootSet:

@@ -25,7 +25,15 @@ record holds each row's fields, the control as an integer.
 
 ``--compare`` lists the records that differ, with the largest relative change
 of a candidate time and of a param between candidates at the same place with
-the same label, and ends with one summary line per corpus.
+the same label, and ends with one summary line per corpus.  A plan record
+whose candidate labels moved counts as one of two kinds: only the order of
+tied candidates changed, or the candidate set changed.  Candidates tie when
+their times differ by at most ``TIED``*max(1, t), as mirror images do in
+exact arithmetic; the order changed only when each run of tied candidates
+holds the same labels in both records.  A change of the best label is
+counted on its own, beside either kind.  A root record counts as changed
+when a shape's root count or tangential flags differ, and otherwise gives
+its largest root change.
 """
 
 from __future__ import annotations
@@ -38,6 +46,9 @@ import sys
 ROOT_SEEDS = (901, 601)
 #: the ``random`` plans whose sampled rows are dumped, and rows per path
 SAMPLED_PLANS, SAMPLE_STEPS = 600, 37
+#: time difference, relative to max(1, t), within which ``--compare`` counts
+#: two candidates of one plan as tied: the planner's tie width at rho = 1
+TIED = 1e-12
 
 
 def _hex(values) -> str:
@@ -137,9 +148,24 @@ def _read(path: str) -> dict[str, str]:
         return dict(line.rstrip("\n").split(" ", 1) for line in fh)
 
 
-def _plan_changes(a: str, b: str) -> tuple[bool, float, float]:
-    """(same labels in the same order, largest relative time change, largest
-    param change relative to max(1, |param|)) of two plan records."""
+def _tie_runs(candidates: list[str]) -> list[list[str]]:
+    """The sorted labels of each run of consecutive candidates whose times
+    tie (``TIED``)."""
+    runs, last = [], -math.inf
+    for c in candidates:
+        label, _, times = c.split(":")[:3]
+        time = float.fromhex(times.split(",")[0])
+        if time - last > TIED * max(1.0, abs(time)):
+            runs.append([])
+        runs[-1].append(label)
+        last = time
+    return [sorted(run) for run in runs]
+
+
+def _plan_changes(a: str, b: str) -> tuple[str, bool, float, float]:
+    """(how the labels changed: "same", "order" or "set"; whether the best
+    label changed; the largest relative time change; the largest param
+    change relative to max(1, |param|)) of two plan records."""
     ca, cb = a.split(" ")[2:], b.split(" ")[2:]
     labels_a = [c.split(":")[0] for c in ca]
     labels_b = [c.split(":")[0] for c in cb]
@@ -154,7 +180,26 @@ def _plan_changes(a: str, b: str) -> tuple[bool, float, float]:
         for p, q in zip(px.split(","), py.split(",")):
             p, q = float.fromhex(p), float.fromhex(q)
             d_param = max(d_param, abs(p - q) / max(1.0, abs(p)))
-    return labels_a == labels_b, d_time, d_param
+    if labels_a == labels_b:
+        kind = "same"
+    else:
+        kind = "order" if _tie_runs(ca) == _tie_runs(cb) else "set"
+    return kind, a.split(" ")[0] != b.split(" ")[0], d_time, d_param
+
+
+def _root_changes(a: str, b: str) -> tuple[bool, float]:
+    """(same root counts and tangential flags, largest root change) of two
+    root records."""
+    same, d_root = True, 0.0
+    for x, y in zip(a.split(" "), b.split(" ")):
+        (rx, fx), (ry, fy) = x.split(":"), y.split(":")
+        rx, ry = rx.split(",") if rx else [], ry.split(",") if ry else []
+        if fx != fy or len(rx) != len(ry):
+            same = False
+            continue
+        for p, q in zip(rx, ry):
+            d_root = max(d_root, abs(float.fromhex(p) - float.fromhex(q)))
+    return same, d_root
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -163,14 +208,23 @@ def compare(path_a: str, path_b: str) -> int:
     summary: dict[str, list] = {}
     for key in sorted(a.keys() | b.keys(), key=lambda k: (k.split("/")[0], k)):
         corpus = key.split("/")[0]
-        row = summary.setdefault(corpus, [0, 0, 0, 0.0, 0.0])  # records, differ, label lists, time, param
+        # records, differ, best label changed, set changed, order only, time, param
+        row = summary.setdefault(corpus, [0, 0, 0, 0, 0, 0.0, 0.0])
         row[0] += 1
         ra, rb = a.get(key), b.get(key)
         if ra == rb:
             continue
         row[1] += 1
-        if ra is None or rb is None or corpus.startswith("roots"):
+        if ra is None or rb is None:
             print(f"{key}\n  A: {ra}\n  B: {rb}")
+            continue
+        if corpus.startswith("roots"):
+            same, d_root = _root_changes(ra, rb)
+            row[3] += not same
+            row[5] = max(row[5], d_root)
+            print(f"{key}: counts and flags {'same' if same else 'DIFFER'}, root {d_root:.2g}")
+            if not same:
+                print(f"  A: {ra}\n  B: {rb}")
             continue
         if corpus == "samples":
             rows = list(zip(ra.split(" "), rb.split(" ")))
@@ -178,20 +232,29 @@ def compare(path_a: str, path_b: str) -> int:
             print(f"{key}: {len(moved)} of {len(rows)} rows differ, row counts"
                   f" {ra.count(' ') + 1} -> {rb.count(' ') + 1}")
             continue
-        same_labels, d_time, d_param = _plan_changes(ra, rb)
-        row[2] += not same_labels
-        row[3], row[4] = max(row[3], d_time), max(row[4], d_param)
-        best_a, best_b = (float.fromhex(r.split(" ")[1]) for r in (ra, rb))
+        kind, best_moved, d_time, d_param = _plan_changes(ra, rb)
+        row[2] += best_moved
+        row[3] += kind == "set"
+        row[4] += kind == "order"
+        row[5], row[6] = max(row[5], d_time), max(row[6], d_param)
+        best_a, best_b = (r.split(" ")[:2] for r in (ra, rb))
         print(
-            f"{key}: labels {'same' if same_labels else 'DIFFER'}, time {d_time:.2g},"
-            f" param {d_param:.2g}, best t_f {best_a!r} -> {best_b!r}"
+            f"{key}: labels {kind}, time {d_time:.2g}, param {d_param:.2g}, best"
+            f" {best_a[0]} {float.fromhex(best_a[1])!r} -> {best_b[0]} {float.fromhex(best_b[1])!r}"
         )
-        if not same_labels:
+        if kind != "same":
             print(f"  A: {' '.join(c.split(':')[0] for c in ra.split(' ')[2:])}")
             print(f"  B: {' '.join(c.split(':')[0] for c in rb.split(' ')[2:])}")
-    for corpus, (n, differ, labels, d_time, d_param) in summary.items():
+    for corpus, (n, differ, best, moved, order, d_time, d_param) in summary.items():
+        if corpus.startswith("roots"):
+            print(
+                f"{corpus}: {n} records, {differ} differ: {moved} root counts or flags"
+                f" changed; largest root change {d_time:.2g}"
+            )
+            continue
         print(
-            f"{corpus}: {n} records, {differ} differ, {labels} with other labels;"
+            f"{corpus}: {n} records, {differ} differ: {best} best label changed,"
+            f" {moved} candidate set changed, {order} only tied order changed;"
             f" largest relative change: time {d_time:.2g}, param {d_param:.2g}"
         )
     return 1 if any(row[1] for row in summary.values()) else 0

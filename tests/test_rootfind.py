@@ -1,11 +1,15 @@
+import itertools
 import math
+import pathlib
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import windubins.families
 from windubins import (
     EnvelopeCoeffs,
     QuadCosCoeffs,
@@ -18,15 +22,20 @@ from windubins import (
     solve_sinusoid,
 )
 from windubins.geometry import TWO_PI
+from windubins.planner import plan
 from windubins.rootfind import (
+    _GRAZE_WINDOW,
     _ROUNDING,
+    _convex_roots,
     _envelope_rootless,
     _envelope_stationary,
     _monotone_roots,
     _quadcos_rootless,
+    _rescaled,
     _root_set,
 )
 
+from conftest import make_case1, make_case2
 from grid_oracle import (
     _cos,
     _sin,
@@ -36,6 +45,7 @@ from grid_oracle import (
     quadcos_fn,
     simple_roots,
 )
+from parity_dump import random_scenarios
 
 TOL = ToleranceSet()
 
@@ -373,7 +383,7 @@ def _bracketed_solves(solve, coeffs):
 #: the bounds of solve_envelope's and solve_quadcos's docstrings on the
 #: bracketed solves of one call, by ``_bracketed_solves`` pass
 _MAX_ENVELOPE = {None: 4, 0: 5}  # solves of h, and of G
-_MAX_QUADCOS = {0: 3, 1: 4}  # solves of G', and of G
+_MAX_QUADCOS = {None: 3, 0: 3, 1: 4}  # solves of H' and H (convex factor), of G', and of G
 
 
 def _assert_constant_time(solve, coeffs, bounds, max_evaluations):
@@ -386,8 +396,9 @@ def _assert_constant_time(solve, coeffs, bounds, max_evaluations):
 def test_bracketed_solves_are_bounded_on_roots_direct():
     """The constant-time claim as counts, on roots-direct's draws of seeds
     901 and 601: each solve_envelope call makes at most 9 bracketed solves
-    (4 of h and 5 of G), each solve_quadcos call at most 7 (3 of G' and 4
-    of G), and no bracketed solve takes more than 30 evaluations.
+    (4 of h and 5 of G), each solve_quadcos call at most 3 on the convex
+    factor (of H' and H) and 7 on the generic path (3 of G' and 4 of G),
+    and no bracketed solve takes more than 30 evaluations.
 
     The worst found: 7 solves in an envelope call (3 of h, 4 of G), 7 in a
     quadcos call (3 of G', 4 of G; seed 901, draw 1964), and 20 evaluations,
@@ -580,6 +591,7 @@ _SHAPES = {
 @example(1e308, 1e308, 1e308, 1e308, 1e308)  # the scale and G overflow
 @example(0.79, 5.9e-319, 0.0, 0.0, 0.0)  # sinusoid: subnormal amplitude, G = 0.79, no root
 @example(1e308, 3e-10, 0.0, 0.0, 0.0)  # sinusoid: subnormal amplitude after the rescale
+@example(1e-189, 0.0, 1e-217, 0.0, 0.0)  # quadcos: 4*c1*(c4 + c3) underflows to 0
 def test_any_finite_magnitudes(shape, f1, f2, f3, f4, f5):
     # Each shape takes the first of the five drawn coefficients it needs.
     record, solve, fn = _SHAPES[shape]
@@ -599,6 +611,7 @@ _UNIT_RECORDS = (
     EnvelopeCoeffs(1.0, 1.0, 1.0, 1.0, 1.0),
     SinusoidCoeffs(0.0, 1.0, 1.0),
     QuadCosCoeffs(1.0, -1.0, 1.0, -1.0),
+    QuadCosCoeffs(0.125, -0.5625, 1.0, -0.3125),  # CCC-shaped (G/8): solved by its convex factor
 )
 _SOLVER = {EnvelopeCoeffs: solve_envelope, SinusoidCoeffs: solve_sinusoid, QuadCosCoeffs: solve_quadcos}
 
@@ -608,6 +621,7 @@ _SOLVER = {EnvelopeCoeffs: solve_envelope, SinusoidCoeffs: solve_sinusoid, QuadC
 @example(_UNIT_RECORDS[0], 1e308)  # four roots, two of them tangential, where G overflows
 @example(_UNIT_RECORDS[1], 1e308)  # one tangential root, 3.927, for two simple ones
 @example(_UNIT_RECORDS[2], 1e308)  # only the root 0, not 1.655
+@example(_UNIT_RECORDS[3], 1e308)  # the two simple roots 0.813 and 4.828
 def test_magnified_record_keeps_its_roots(unit, factor):
     # A record times a factor up to near the largest float has its roots.
     solve = _SOLVER[type(unit)]
@@ -615,3 +629,173 @@ def test_magnified_record_keeps_its_roots(unit, factor):
     want = solve(unit, TOL)
     assert got.tangential == want.tangential
     assert got.roots == pytest.approx(want.roots, rel=0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The convex factor of a CCC-shaped record: G = H*S
+
+
+def _both_paths(coeffs, lo, hi):
+    """(the convex factor's root set, or None where it hands the record to
+    the generic path; the generic path's root set) on [lo, hi), after
+    ``solve_quadcos``'s own rescale; None where its certificate settles the
+    record first."""
+    scaled, scale = _rescaled(coeffs)
+    slack = TOL.feas_tol * scale + _ROUNDING * scale
+    if _quadcos_rootless(scaled, lo, hi, slack):
+        return None
+    convex = _convex_roots(scaled, lo, hi, slack)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootfind, "_convex_roots", lambda *args: None)
+        generic = solve_quadcos(coeffs, TOL, domain=(lo, hi))
+    return None if convex is None else _root_set(convex), generic
+
+
+def _convex_draws(seed, count):
+    """Records of the convex region, with their domains: Q = c1*(b - b0)^2 +
+    D, so sqrt(Q) is the norm of an affine map that passes closest to zero
+    at b0.  D = 0 is M parallel to w in a CCC equation, 4*c1*(c4 + c3) =
+    c2^2, where sqrt(Q) has its kink; b0 falls inside and outside [0, 2*pi]
+    and on its ends, and the windows touch 0 and 2*pi."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        c1 = rng.choice((0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e-3)))
+        b0 = rng.choice((rng.uniform(-1.0, 8.0), 0.0, TWO_PI))
+        dd = rng.choice((0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 30.0)))
+        c3 = rng.uniform(0.0, 10.0)
+        lo, hi = sorted((rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI)))
+        lo, hi = rng.choice(((lo, hi), (0.0, hi), (lo, TWO_PI), (0.0, TWO_PI)))
+        c2 = -2.0 * c1 * b0
+        yield QuadCosCoeffs(c1, c2, c3, dd + c1 * b0 * b0 - c3), lo, hi
+
+
+def _ccc_records():
+    """(coeffs, lo, hi) of every ``solve_quadcos`` call that ``plan`` makes
+    for reference cases 1 and 2 and the first 300 ``random`` parity
+    scenarios: all of them CCC branch equations."""
+    seen = []
+
+    def recorded(coeffs, tol, domain, _solve=windubins.families.solve_quadcos):
+        seen.append((coeffs, *domain))
+        return _solve(coeffs, tol, domain=domain)
+
+    randoms = (sc for _, sc in itertools.islice(random_scenarios(), 300))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(windubins.families, "solve_quadcos", recorded)
+        for sc in (make_case1(), make_case2(), *randoms):
+            plan(sc)
+    return seen
+
+
+def _placed(rs, coeffs, lo, hi):
+    """The (root, tangential) pairs of ``rs`` that rounding does not place:
+    all but those within ``_GRAZE_WINDOW`` of a window end where G and G'
+    both vanish to rounding.  A double root there, as b0 = 2*pi with D = 0
+    gives, is a sign change inside the window or none as G's rounding
+    falls, on either path."""
+    c1, c2, c3, c4 = coeffs
+    rounding = _ROUNDING * coeffs.scale
+    ends = [
+        e for e in (lo, hi)
+        if abs((c1 * e + c2) * e + c3 * math.cos(e) + c4) <= rounding
+        and abs(2.0 * c1 * e + c2 - c3 * math.sin(e)) <= rounding
+    ]
+    return [(r, t) for r, t in zip(rs.roots, rs.tangential) if all(abs(r - e) > _GRAZE_WINDOW for e in ends)]
+
+
+def test_convex_factor_matches_the_generic_path_and_the_grid():
+    # Every record, convex draw or CCC equation, has the grid oracle's
+    # sign-change roots, up to the grid's last point.  Where the convex
+    # factor decides, it gives the generic path's root count and tangential
+    # flags, and each root within 1e-12 of the generic one or, at a double
+    # root whose place rounding decides, with |G| within rounding at both;
+    # ``_placed`` leaves out a double root at a window end.
+    records = [*_convex_draws(26, 400), *_ccc_records()]
+    n = 200_000
+    decided = 0
+    for coeffs, lo, hi in records:
+        paths = _both_paths(coeffs, lo, hi)
+        if paths is None:  # the certificate's soundness is tested on its own
+            continue
+        rs = solve_quadcos(coeffs, TOL, domain=(lo, hi))
+        seen = [r for r in simple_roots(rs) if r <= TWO_PI - TWO_PI / n]
+        grid = [r for r in dense_grid_roots(quadcos_fn(*coeffs), n=n) if lo <= r < hi]
+        assert match_root_sets(seen, grid, tol=1e-6), (coeffs, lo, hi, rs, grid)
+        if paths[0] is None:
+            continue
+        decided += 1
+        convex, generic = (_placed(p, coeffs, lo, hi) for p in paths)
+        assert [t for _, t in convex] == [t for _, t in generic], (coeffs, lo, hi, paths)
+        g, rounding = quadcos_fn(*coeffs), _ROUNDING * coeffs.scale
+        for (a, _), (b, _) in zip(convex, generic):
+            assert abs(a - b) <= 1e-12 or max(abs(g(a)), abs(g(b))) <= rounding, (coeffs, lo, hi, a, b)
+    assert decided >= len(records) // 3
+
+
+def test_ccc_equations_factor_through_h():
+    # Each CCC equation has c3 = 8 > 0 and Q = c1*b^2 + c2*b + c4 + c3 =
+    # |v(b)|^2 >= 0, so G = (sqrt(Q) - k*sin(b/2))*(sqrt(Q) + k*sin(b/2)),
+    # k = sqrt(2*c3), to rounding across its window.
+    for coeffs, lo, hi in _ccc_records():
+        c1, c2, c3, c4 = coeffs
+        rounding = _ROUNDING * coeffs.scale
+        assert c3 > 0.0 and c1 >= 0.0
+        assert 4.0 * c1 * (c4 + c3) - c2 * c2 >= -rounding * max(1.0, 4.0 * c1)
+        b = np.linspace(lo, hi, 33)
+        root_q = np.sqrt(np.maximum((c1 * b + c2) * b + c4 + c3, 0.0))
+        ks = math.sqrt(2.0 * c3) * np.sin(0.5 * b)
+        g = (c1 * b + c2) * b + c3 * np.cos(b) + c4
+        assert np.max(np.abs(g - (root_q - ks) * (root_q + ks))) <= rounding, coeffs
+
+
+def test_quadcos_evaluations_per_plan_on_plan_mixed(monkeypatch, tmp_path):
+    """The cost of the CCC root solves as a count: evaluations of G, G', H
+    or H' (each calls cos once) per plan over ``bench/``'s plan-mixed
+    corpus of seed 20002.  Before the convex factor it was 36.7 per plan,
+    with the factor 19.8.  Each solve that the convex factor decides makes
+    at most 3 bracketed solves and 6 single evaluations: H and H' at both
+    ends, at the tangents' meeting point and at H's least point, and one
+    Newton polish per root."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    corpus = workloads.PlanMixed(20002, str(tmp_path)).inputs
+    counts = {"cos": 0, "refine": 0, "refine_cos": 0, "generic": 0}  # generic: _monotone_roots calls
+    counting = types.SimpleNamespace(**vars(math))
+
+    def cos(x, _cos=math.cos):
+        counts["cos"] += 1
+        return _cos(x)
+
+    def refine(*args, _refine=rootfind._refine):
+        counts["refine"] += 1
+        before = counts["cos"]
+        try:
+            return _refine(*args)
+        finally:
+            counts["refine_cos"] += counts["cos"] - before
+
+    def generic(*args, _generic=rootfind._monotone_roots):
+        counts["generic"] += 1
+        return _generic(*args)
+
+    def solve(*args, _solve=solve_quadcos, **kwargs):
+        counts.update(refine=0, refine_cos=0, generic=0)
+        start = counts["cos"]
+        counting.cos = cos
+        try:
+            return _solve(*args, **kwargs)
+        finally:
+            counting.cos = math.cos
+            if not counts["generic"]:
+                singles = counts["cos"] - start - counts["refine_cos"]
+                assert counts["refine"] <= 3 and singles <= 6, (args, counts, singles)
+
+    counting.cos = math.cos
+    monkeypatch.setattr(rootfind, "math", counting)
+    monkeypatch.setattr(rootfind, "_refine", refine)
+    monkeypatch.setattr(rootfind, "_monotone_roots", generic)
+    monkeypatch.setattr(windubins.families, "solve_quadcos", solve)
+    for scenario in corpus:
+        plan(scenario)
+    assert counts["cos"] / len(corpus) <= 26.0
