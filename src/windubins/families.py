@@ -37,7 +37,9 @@ the schedule valid:
 
 None of them tests the endpoint again: a second test with a tolerance of its
 own could only reject a path that ``_accept`` accepts, and then residual_tol
-would no longer be the one bound on the miss.
+would no longer be the one bound on the miss.  The tests above are equalities
+and ranges that rounding blurs: each allows the solvers' fixed slack
+``rootfind._SLACK``, never a user tolerance, so loosening one removes no root.
 
 Derivation conventions used throughout (unit speed, unit radius, first arc
 from the origin):
@@ -74,6 +76,7 @@ from .geometry import (
 )
 from .rootfind import (
     _GRAZE_WINDOW,
+    _SLACK,
     EnvelopeCoeffs,
     QuadCosCoeffs,
     SinusoidCoeffs,
@@ -83,7 +86,7 @@ from .rootfind import (
 )
 
 #: Padding of the CCC and CSC root windows, so a root on a cut (an empty or full
-#: arc) is inside one: over ``_refine``'s 1.3e-14 closing width, far under feas_tol.
+#: arc) is inside one: over ``_refine``'s 1.3e-14 closing width, far under _SLACK.
 _PAD = 1e-9
 
 class Family(enum.Enum):
@@ -212,12 +215,11 @@ def solve_sc(scenario: Scenario) -> list[PathCandidate]:
     relative track actually passes through (0, d) at that time is left to
     ``_accept``.
     """
-    tol = scenario.tol
-    if ang_dist(scenario.theta_f, HALF_PI) > tol.feas_tol:
+    if ang_dist(scenario.theta_f, HALF_PI) > scenario.tol.feas_tol:
         return []
     wy = scenario.wind.wy
     d = (scenario.target_y - TWO_PI * wy) / (1.0 + wy)
-    if d < -tol.feas_tol:
+    if d < -_SLACK:
         return []
     d = max(0.0, d)
     params = SegmentParams(d=d)
@@ -239,7 +241,6 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
     range is proposed to ``_accept``, which checks the heading and the
     endpoint; the global minimum is taken later by the planner.
     """
-    tol = scenario.tol
     wx, wy = scenario.wind.wx, scenario.wind.wy
     X, Y = scenario.target
     ww = wx * wx + wy * wy
@@ -253,14 +254,14 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
             # goal on the circle is reached at the heading's arc.
             on_circle = (X - cx) ** 2 + Y * Y - 1.0
             alpha_head = mod2pi(sigma * (scenario.theta_f - HALF_PI))
-            roots = [alpha_head] if abs(on_circle) <= tol.feas_tol * (1.0 + X * X + Y * Y) else []
+            roots = [alpha_head] if abs(on_circle) <= _SLACK * (1.0 + X * X + Y * Y) else []
         else:
             proj = (X - cx) * wx + Y * wy
             a2 = 4.0 * math.pi * ww - 2.0 * proj
             a3 = 4.0 * math.pi * math.pi * ww - 4.0 * math.pi * proj + (X - cx) ** 2 + Y * Y - 1.0
             roots = _real_quadratic_roots(ww, a2, a3)
         for alpha in roots:
-            if not (-tol.feas_tol <= alpha < TWO_PI):
+            if not (-_SLACK <= alpha < TWO_PI):
                 continue
             alpha = max(0.0, alpha)
             schedule = ControlSchedule(((sigma, alpha), (-sigma, TWO_PI)))
@@ -324,15 +325,14 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
     For each root beta of the branch equation, the first-arc radian follows
     jointly from the two circle-tangency components (atan2, so no branch
     ambiguity), the third from the heading identity; roots whose wrapped arc
-    sum disagrees with the branch by more than feas_tol are rejected, the rest
+    sum disagrees with the branch by more than _SLACK are rejected, the rest
     is proposed to ``_accept``.  An empty middle arc, the single arc RSR/LSL
     list with d = 0, is skipped; small ones are left to ``_accept``.
     """
     (wx, wy), _, _, th_f = scenario[:4]
-    tol = scenario.tol
     proposals = []
     for sigma, _, coeffs, base, lo, hi, m, nn in _ccc_equations(scenario):
-        for beta in solve_quadcos(coeffs, tol, domain=(lo, hi)).roots:
+        for beta in solve_quadcos(coeffs, domain=(lo, hi)).roots:
             if beta == 0.0:
                 continue
             # The path's time on branch n, >= -2*_PAD in the window; the check
@@ -342,7 +342,7 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
             b_comp = nn - 2.0 * wy * beta
             alpha = mod2pi(0.5 * beta + math.atan2(-a_comp, b_comp))
             gamma = mod2pi(sigma * (th_f - HALF_PI) - alpha + beta)
-            if abs(alpha + beta + gamma - tau) > tol.feas_tol:
+            if abs(alpha + beta + gamma - tau) > _SLACK:
                 continue
             schedule = ControlSchedule(((sigma, alpha), (-sigma, beta), (sigma, gamma)))
             params = SegmentParams(alpha=alpha, beta=beta, gamma=gamma)
@@ -356,7 +356,7 @@ def solve_ccc(scenario: Scenario) -> list[PathCandidate]:
 
 def _csc_equations(scenario: Scenario) -> tuple[tuple, list[tuple], list[tuple]]:
     """The plan's constants that ``_csc_from_beta`` reads (goal, wind, sin and
-    cos of theta_f, feas_tol), then every non-empty CSC branch equation of a
+    cos of theta_f), then every non-empty CSC branch equation of a
     unit-radius normalized scenario: RSL/LSR's on each of its two arcs of
     straight headings, as (variant, n, coeffs, c, a, z, wrap, head, n2pi), and
     RSR/LSL's per wrap branch, as (variant, n, coeffs, arc_sum).
@@ -380,7 +380,7 @@ def _csc_equations(scenario: Scenario) -> tuple[tuple, list[tuple], list[tuple]]
     """
     (wx, wy), X, Y, th_f = scenario[:4]  # wind, goal, theta_f
     sin_f, cos_f = math.sin(th_f), math.cos(th_f)
-    consts = (X, Y, wx, wy, sin_f, cos_f, scenario.tol.feas_tol)
+    consts = (X, Y, wx, wy, sin_f, cos_f)
     arcs, branches = [], []
     for variant in (Variant.RSL, Variant.LSR, Variant.RSR, Variant.LSL):
         sigma, kappa = variant.sigma, variant.kappa
@@ -418,27 +418,25 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
     comes from the branch's arc sum, not from mod2pi: a root on a branch
     boundary then gets the full turn (2*pi) or the empty one (0) that its own
     branch implies, and a root whose last arc leaves [0, 2*pi] by more than
-    feas_tol belongs to another branch and is dropped before its balance is
+    _SLACK belongs to another branch and is dropped before its balance is
     solved.  Negative lengths are dropped too, and the survivors are
     proposed to ``_accept``, which checks the whole endpoint.
     """
-    tol = scenario.tol
-    feas = tol.feas_tol
     consts, arcs, branches = _csc_equations(scenario)
     proposals = []
     for variant, _, coeffs, c, a, z, wrap, head, n2pi in arcs:
         sigma, turn = variant.sigma, variant.sigma - variant.kappa
-        for b in solve_envelope(coeffs, tol, domain=(max(0.0, a), min(z, TWO_PI))).roots:
+        for b in solve_envelope(coeffs, domain=(max(0.0, a), min(z, TWO_PI))).roots:
             for v in (b, b + sigma * TWO_PI):  # every point of the arc at this heading
                 if a <= v <= z:
                     beta = c + v
                     alpha = max(0.0, sigma * (beta - HALF_PI) - wrap)
                     gamma = head + turn * beta + n2pi - alpha
-                    if -feas <= gamma <= TWO_PI + feas:
+                    if -_SLACK <= gamma <= TWO_PI + _SLACK:
                         proposals.append(_csc_from_beta(consts, variant, beta, alpha, gamma))
     for variant, _, coeffs, arc_sum in branches:
         rx0, ry0 = abs(coeffs.e2), abs(coeffs.e3)  # |r|, component-wise
-        scale = feas * (1.0 + rx0 + ry0 + (1.0 + arc_sum))
+        scale = _SLACK * (1.0 + rx0 + ry0 + (1.0 + arc_sum))
         if rx0 <= scale and ry0 <= scale:
             # Identically satisfied balance: d = 0 is forced, and any split of
             # the (single-direction) arc works; propose the even split.
@@ -447,10 +445,10 @@ def solve_csc(scenario: Scenario) -> list[PathCandidate]:
             beta = mod2pi(HALF_PI + variant.sigma * half)
             proposals.append((variant, SegmentParams(alpha=half, beta=beta, gamma=half), schedule))
             continue
-        for beta in solve_sinusoid(coeffs, tol).roots:
+        for beta in solve_sinusoid(coeffs).roots:
             alpha = mod2pi(variant.sigma * (beta - HALF_PI))
             gamma = arc_sum - alpha
-            if -feas <= gamma <= TWO_PI + feas:
+            if -_SLACK <= gamma <= TWO_PI + _SLACK:
                 proposals.append(_csc_from_beta(consts, variant, beta, alpha, gamma))
     return _accept(scenario, [p for p in proposals if p is not None])
 
@@ -484,9 +482,9 @@ def _csc_from_beta(
     consts: tuple, variant: Variant, beta: float, alpha: float, gamma: float
 ) -> _Proposal | None:
     """The proposal of a root at straight heading beta with first arc alpha
-    and last arc gamma, within feas_tol of its own wrap branch, or None when
+    and last arc gamma, within _SLACK of its own wrap branch, or None when
     it gives a negative length.  ``consts`` are ``_csc_equations``'."""
-    X, Y, wx, wy, sin_f, cos_f, feas = consts
+    X, Y, wx, wy, sin_f, cos_f = consts
     sigma, kappa = variant.sigma, variant.kappa
     gamma = max(0.0, gamma)
     arc_time = alpha + gamma
@@ -497,7 +495,7 @@ def _csc_from_beta(
     ry = Y - arc_time * wy + sigma * cb + kappa * (cos_f - cb)
     dx, dy = cb + wx, sb + wy
     d = rx / dx if abs(dx) >= abs(dy) else ry / dy
-    if d < -feas * (1.0 + arc_time):
+    if d < -_SLACK * (1.0 + arc_time):
         return None
     d = max(0.0, d)
     schedule = ControlSchedule(((sigma, alpha), (0, d), (kappa, gamma)))

@@ -89,11 +89,9 @@ class ToleranceSet(_Record, namedtuple("ToleranceSet", "feas_tol residual_tol"))
     Lengths are in turn radii, so a scenario and its copy with goal and rho
     multiplied by one factor accept the same candidates.
 
-    feas_tol        bound on the heading error of a candidate, and slack on
-                    the measure-zero equalities the families test at root
-                    level, the wrap-branch arc-sum identity among them (they
-                    almost never hold exactly in floats), in turn radii for
-                    lengths and in radians for headings
+    feas_tol        the one bound on the heading error of a candidate, in
+                    radians; see ``accepts``.  The root level does not read
+                    it: its equalities use the fixed ``rootfind._SLACK``.
     residual_tol    the one bound on the endpoint miss, in every family: a
                     candidate of total time t may miss the moving target by
                     at most residual_tol*(rho + t); see ``accepts``
@@ -153,14 +151,15 @@ class Scenario(_Record, namedtuple("Scenario", "wind target_x target_y theta_f r
     frame where planning formulas apply directly.  ``normalize`` reduces any
     other start to it.
 
-    Every value must be finite, and the goal must lie within
-    ``MAX_GOAL_RANGE`` turn radii of the start.  The families solve for the
-    goal in turn radii, whatever rho is, so the bound is on that ratio: the
-    acceptance slack residual_tol*(rho + t_f) grows with the path time, and
-    with the default residual_tol it reaches a turn radius at a goal about
-    1e6 turn radii away, where the check no longer resolves the turns.  (The
-    root equations' coefficients grow with the square of that distance, the
-    CCC constant term being m^2 + n^2, and would overflow near 1e154.)
+    ``wind`` must be a ``WindVector`` and ``tol`` a ``ToleranceSet``.  Every
+    value must be finite, and the goal must lie within ``MAX_GOAL_RANGE``
+    turn radii of the start.  The families solve for the goal in turn radii,
+    whatever rho is, so the bound is on that ratio: the acceptance slack
+    residual_tol*(rho + t_f) grows with the path time, and with the default
+    residual_tol it reaches a turn radius at a goal about 1e6 turn radii
+    away, where the check no longer resolves the turns.  (The root
+    equations' coefficients grow with the square of that distance, the CCC
+    constant term being m^2 + n^2, and would overflow near 1e154.)
     """
 
     __slots__ = ()
@@ -175,6 +174,9 @@ class Scenario(_Record, namedtuple("Scenario", "wind target_x target_y theta_f r
         start: tuple[float, float, float] = DEFAULT_START,
         tol: ToleranceSet = DEFAULT_TOLERANCES,
     ):
+        for name, value, kind in (("wind", wind, WindVector), ("tol", tol, ToleranceSet)):
+            if not isinstance(value, kind):  # a bare tuple skips the record's own checks
+                raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
         if not (rho > 0.0 and math.isfinite(rho)):
             raise ValueError(f"rho must be a positive finite length, got {rho}")
         sx, sy, sth = start

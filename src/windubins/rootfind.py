@@ -31,7 +31,7 @@ each of those pieces holds at most one sign change (``_monotone_roots``).
   when K = 0 (phi jumps by pi there).
 
 Before any of that, both shapes check an O(1) no-root certificate: a bound
-showing |G| > graze (the feasibility slack) on the whole domain, so there is
+showing |G| > graze = ``_SLACK``*scale on the whole domain, so there is
 no sign change, exact zero or grazing stationary point.  The bound carries
 ``_ROUNDING``*scale more, far above the rounding of G, so it fires only
 where the full isolation returns no root either.
@@ -48,8 +48,8 @@ precision.  A piece is bracketed when G has strictly opposite signs at its
 ends, compared as signs: their product underflows below about 1e-162.  A knot
 where G is exactly zero is a root, grazing unless G has strictly opposite
 signs at the neighbouring knots, and a plain crossing within ``_KNOT_EDGE``
-of an end.  Stationary points where |G| stays within the feasibility slack
-are reported separately as tangential roots.
+of an end.  Stationary points where |G| stays within graze are reported
+separately as tangential roots.
 """
 
 from __future__ import annotations
@@ -57,13 +57,21 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import DEFAULT_TOLERANCES, TWO_PI, ToleranceSet, _Record, mod2pi
+from .geometry import TWO_PI, _Record, mod2pi
 
 #: Bound on G's rounding relative to its scale: a few eps on terms of at most
 #: 4*pi^2*scale, < 5e-14.  Larger only makes the no-root certificates rarer.
 _ROUNDING = 1e-12
+#: Slack of the root level, relative to an equation's scale: the solvers'
+#: grazing band graze = _SLACK*scale, and the slack of the families' equality
+#: tests.  Not a user tolerance, so loosening one never changes which roots
+#: exist.  Far above _ROUNDING and the 1e-9 window padding, so a double root
+#: moved by rounding, or a root on a padded cut, is kept; far below pi, the gap
+#: of wrap branches.  Set to the default residual_tol, the relative miss the
+#: default acceptance allows; the parity corpora read the same at 1e-7 and 1e-5.
+_SLACK = 1e-6
 #: Merge window of tangential roots and of candidates: rounding moves a double root
-#: by sqrt(2*_ROUNDING) = 1.4e-6; roots sqrt(8*feas_tol) = 2.8e-3 apart are 2 contacts.
+#: by sqrt(2*_ROUNDING) = 1.4e-6; roots sqrt(8*_SLACK) = 2.8e-3 apart are 2 contacts.
 _GRAZE_WINDOW = 1e-5
 #: A zero at a knot this close to lo or hi is a crossing: G at that end is then
 #: |G''|*e^2/2 ~ _ROUNDING*scale (e = sqrt(_ROUNDING), |G''| ~ scale), rounding.
@@ -264,11 +272,7 @@ def _envelope_rootless(coeffs: EnvelopeCoeffs, lo: float, hi: float, slack: floa
     return abs(f1) > reach + slack
 
 
-def solve_quadcos(
-    coeffs: QuadCosCoeffs,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-    domain: tuple[float, float] | None = None,
-) -> RootSet:
+def solve_quadcos(coeffs: QuadCosCoeffs, *, domain: tuple[float, float] | None = None) -> RootSet:
     """All real roots of c1*b^2 + c2*b + c3*cos(b) + c4 on [0, 2*pi), or on a
     half-open subinterval of it when ``domain`` narrows the search.
 
@@ -291,7 +295,7 @@ def solve_quadcos(
     if not hi > lo:
         return _EMPTY
     coeffs, scale = _rescaled(coeffs)
-    graze = tol.feas_tol * scale
+    graze = _SLACK * scale
     slack = graze + _ROUNDING * scale
     if _quadcos_rootless(coeffs, lo, hi, slack):
         return _EMPTY
@@ -454,7 +458,7 @@ def _convex_roots(coeffs: QuadCosCoeffs, lo: float, hi: float, slack: float):
     ]
 
 
-def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet = DEFAULT_TOLERANCES) -> RootSet:
+def solve_sinusoid(coeffs: SinusoidCoeffs) -> RootSet:
     """Roots of e1 + e2*sin(b) + e3*cos(b) = 0, analytically.
 
     Writes the oscillating part as R*sin(b + phi) with R = hypot(e2, e3):
@@ -468,7 +472,7 @@ def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet = DEFAULT_TOLERANCE
     if amp == 0.0:
         return _EMPTY
     phi = math.atan2(e3, e2)
-    graze = tol.feas_tol * scale
+    graze = _SLACK * scale
     if abs(e1) > amp + graze:
         return _EMPTY
     if abs(e1) >= amp - graze:
@@ -478,11 +482,7 @@ def solve_sinusoid(coeffs: SinusoidCoeffs, tol: ToleranceSet = DEFAULT_TOLERANCE
     return _root_set([(mod2pi(psi - phi), False), (mod2pi(math.pi - psi - phi), False)])
 
 
-def solve_envelope(
-    coeffs: EnvelopeCoeffs,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-    domain: tuple[float, float] | None = None,
-) -> RootSet:
+def solve_envelope(coeffs: EnvelopeCoeffs, *, domain: tuple[float, float] | None = None) -> RootSet:
     """All roots of f1 + f2*sin(b) + f3*cos(b) + b*(f4*sin(b) + f5*cos(b)) on
     [0, 2*pi), or on a half-open subinterval of it when ``domain`` narrows the
     search.
@@ -505,7 +505,7 @@ def solve_envelope(
     if not hi > lo:
         return _EMPTY
     coeffs, scale = _rescaled(coeffs)
-    graze = tol.feas_tol * scale
+    graze = _SLACK * scale
     if _envelope_rootless(coeffs, lo, hi, graze + _ROUNDING * scale):
         return _EMPTY
     f1, f2, f3, f4, f5 = coeffs

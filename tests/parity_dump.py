@@ -4,7 +4,7 @@ records, or compare two such dumps.
     PYTHONPATH=src python3 tests/parity_dump.py OUT
     python3 tests/parity_dump.py --compare A B
 
-A dump holds one line per record, a key and then its fields, over five
+A dump holds one line per record, a key and then its fields, over six
 corpora:
 
 * ``random``: 3000 plans with |w| <= 0.95, rho in {0.5, 1, 2.5}, the goal
@@ -16,7 +16,10 @@ corpora:
   601, each solved by the three root solvers on their default domain;
 * ``samples``: the rows of ``sample(best, t_f / 37, scenario)`` for the first
   600 ``random`` plans, so posed starts and rho != 1 are covered, which the
-  ``batch-csv`` workload never draws.
+  ``batch-csv`` workload never draws;
+* ``loose``: the first 600 ``random`` plans again, at
+  ``ToleranceSet(0.1, 0.1)``, so a tolerance far from the default shows in
+  the records if it reaches the root level.
 
 A plan record holds the best label and t_f, then each candidate in plan
 order: its label, params, time and residual, and its ``validate`` report.
@@ -46,6 +49,8 @@ import sys
 ROOT_SEEDS = (901, 601)
 #: the ``random`` plans whose sampled rows are dumped, and rows per path
 SAMPLED_PLANS, SAMPLE_STEPS = 600, 37
+#: the ``random`` plans dumped again at loose tolerances, and those tolerances
+LOOSE_PLANS, LOOSE_TOL = 600, 0.1
 #: time difference, relative to max(1, t), within which ``--compare`` counts
 #: two candidates of one plan as tied: the planner's tie width at rho = 1
 TIED = 1e-12
@@ -133,11 +138,16 @@ def root_records(seed: int):
 
 
 def dump(path: str) -> None:
+    from windubins import ToleranceSet
+
     with open(path, "w", encoding="utf-8") as out:
         for key, scenario in (*random_scenarios(), *integer_scenarios()):
             out.write(f"{key} {plan_record(scenario)}\n")
         for i, (_, scenario) in zip(range(SAMPLED_PLANS), random_scenarios()):
             out.write(f"samples/{i} {sample_record(scenario)}\n")
+        loose = ToleranceSet(LOOSE_TOL, LOOSE_TOL)
+        for i, (_, scenario) in zip(range(LOOSE_PLANS), random_scenarios()):
+            out.write(f"loose/{i} {plan_record(scenario._replace(tol=loose))}\n")
         for seed in ROOT_SEEDS:
             for key, record in root_records(seed):
                 out.write(f"{key} {record}\n")

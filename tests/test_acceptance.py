@@ -20,7 +20,6 @@ from windubins import (
     EnvelopeCoeffs,
     QuadCosCoeffs,
     Scenario,
-    ToleranceSet,
     Variant,
     WindVector,
     plan,
@@ -96,9 +95,8 @@ def test_criterion_7_performance():
     # ever adds time, so the best batch median is the honest figure.
     scenario = make_case1()
     coeffs = next(eq[2] for eq in _ccc_equations(scenario) if eq[:2] == (-1, 1))
-    tol = ToleranceSet()
     for _ in range(100):
-        solve_quadcos(coeffs, tol)
+        solve_quadcos(coeffs)
         plan(scenario)
 
     def batch_median(fn, reps):
@@ -109,7 +107,7 @@ def test_criterion_7_performance():
             times.append(time.perf_counter() - t0)
         return statistics.median(times)
 
-    root_med = min(batch_median(lambda: solve_quadcos(coeffs, tol), 200) for _ in range(5))
+    root_med = min(batch_median(lambda: solve_quadcos(coeffs), 200) for _ in range(5))
     plan_med = min(batch_median(lambda: plan(scenario), 100) for _ in range(5))
     ok = root_med <= 100e-6 and plan_med <= 1e-3
     _report(
@@ -234,13 +232,12 @@ def test_criterion_5_zero_wind_dubins_equivalence():
 
 
 def test_criterion_6_rootfinder_completeness():
-    tol = ToleranceSet()
     rng = random.Random(66001)
     missed = 0
     worst_res = 0.0
     for _ in range(1000):
         c = [rng.uniform(-10.0, 10.0) for _ in range(4)]
-        rs = solve_quadcos(QuadCosCoeffs(*c), tol)
+        rs = solve_quadcos(QuadCosCoeffs(*c))
         expected = dense_grid_roots(quadcos_fn(*c))
         if not match_root_sets(simple_roots(rs), expected, tol=1e-6):
             missed += 1
@@ -251,7 +248,7 @@ def test_criterion_6_rootfinder_completeness():
                 worst_res = max(worst_res, abs(g(root)) / scale)
     for _ in range(1000):
         f = [rng.uniform(-10.0, 10.0) for _ in range(5)]
-        rs = solve_envelope(EnvelopeCoeffs(*f), tol)
+        rs = solve_envelope(EnvelopeCoeffs(*f))
         expected = dense_grid_roots(envelope_fn(*f))
         if not match_root_sets(simple_roots(rs), expected, tol=1e-6):
             missed += 1

@@ -26,7 +26,7 @@ from windubins.families import (
     solve_sc,
 )
 from windubins.geometry import HALF_PI, TWO_PI, RelativeState, ang_dist, integrate, target_relative
-from windubins.rootfind import _GRAZE_WINDOW
+from windubins.rootfind import _GRAZE_WINDOW, _SLACK
 
 from conftest import (
     CASE1_TIMES,
@@ -547,7 +547,7 @@ def test_csc_branch_windows_cover_the_circle():
 def test_csc_from_beta_sees_only_its_own_branch(monkeypatch):
     # solve_csc drops a root of another wrap branch before its balance is
     # solved, so every root _csc_from_beta receives has its last arc gamma in
-    # [0, 2*pi] up to feas_tol, and alpha + gamma is its branch's arc sum.
+    # [0, 2*pi] up to _SLACK, and alpha + gamma is its branch's arc sum.
     # On plan-mixed seeds 20002 and 20003 that is 7.55 calls per plan, where
     # solving every root's balance took 11.54.
     seen = []
@@ -562,8 +562,7 @@ def test_csc_from_beta_sees_only_its_own_branch(monkeypatch):
         plan(sc)
     assert seen
     for consts, variant, beta, alpha, gamma in seen:
-        feas = consts[-1]
-        assert -feas <= gamma <= TWO_PI + feas
+        assert -_SLACK <= gamma <= TWO_PI + _SLACK
         th_f = math.atan2(consts[4], consts[5])
         sigma, kappa = variant.sigma, variant.kappa
         arc_sum = kappa * th_f - sigma * HALF_PI + (sigma - kappa) * beta

@@ -139,6 +139,20 @@ def test_scenario_rejects_nonfinite(field, value):
         Scenario(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("wind", (2.0, 0.0), "wind must be a WindVector"),
+     ("tol", (1e-6, 1e-6), "tol must be a ToleranceSet")],
+)
+def test_scenario_rejects_unchecked_records(field, value, message):
+    # A bare tuple skips WindVector's |w| < 1 and ToleranceSet's range
+    # checks, and planning with it raised AttributeError.
+    kwargs = dict(wind=WindVector(0, 0), target_x=1.0, target_y=0.0, theta_f=0.0, rho=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=message):
+        Scenario(**kwargs)
+
+
 def test_scenario_goal_range():
     # Supported up to 1e6 turn radii from the start, at any radius.
     Scenario(wind=WindVector(0, 0), target_x=0.0, target_y=0.99e6 * 0.01, theta_f=0, rho=0.01)

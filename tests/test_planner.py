@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import windubins.families
 from windubins import (
     ControlSchedule,
     Family,
@@ -470,6 +471,56 @@ def test_tolerances_in_turn_radii():
     result = plan(small)
     assert result.best.variant is Variant.RSR
     assert result.t_f / rho == pytest.approx(8.400357, abs=1e-6)
+
+
+#: the values each chain of tolerances in the loosening test steps through
+_LOOSENING = (1e-9, 1e-6, 1e-3, 1e-2, 0.1, 1.0, 10.0)
+
+
+def test_loosening_a_tolerance_never_slows_the_plan():
+    # A looser tolerance accepts more candidates and must propose no fewer:
+    # the root level reads no user tolerance, so t_f never rises.  With a
+    # grazing band and branch tests that widened with feas_tol, 80 of these
+    # 150 plans slowed down at some step, by up to 8.5 times.
+    rng = random.Random(3)
+    for _ in range(150):
+        sc = random_scenario(rng)
+        feas_only = [ToleranceSet(v, 1e-6) for v in _LOOSENING]
+        for chain in (feas_only, [ToleranceSet(v, v) for v in _LOOSENING]):
+            before = math.inf
+            for tol in chain:
+                t_f = plan(sc._replace(tol=tol)).t_f
+                assert t_f <= before * (1.0 + 1e-12), (sc, tol, before, t_f)
+                before = t_f
+
+
+@pytest.mark.parametrize("feas_tol", [0.1, 1.0])
+def test_a_loose_feas_tol_keeps_a_simple_pair_of_roots(feas_tol):
+    # RSR branch 1 here has |e1| = 1.80 against an amplitude of 2.18: two
+    # simple roots, 0.090 and 5.167.  A grazing band of feas_tol*scale took
+    # them for one tangential root at 5.77 and lost the optimal RSR.
+    sc = Scenario(wind=WindVector(-0.846, 0.176), target_x=0.219, target_y=2.286, theta_f=4.509, rho=1.0,
+                  tol=ToleranceSet(feas_tol))
+    result = plan(sc)
+    assert result.best.variant is Variant.RSR
+    assert result.t_f == pytest.approx(10.4786, abs=1e-4)
+
+
+def test_a_loose_feas_tol_still_solves_the_csc_sinusoids(monkeypatch):
+    # At feas_tol = 1 a balance band of feas_tol*(1 + |r| + ...) called every
+    # RSR/LSL branch identically satisfied, so no sinusoid was solved and
+    # case 1's optimal LSL was lost to LR<piL at 7.5570.
+    calls = []
+
+    def counted(*args, _solve=windubins.families.solve_sinusoid):
+        calls.append(args)
+        return _solve(*args)
+
+    monkeypatch.setattr(windubins.families, "solve_sinusoid", counted)
+    result = plan(make_case1(tol=ToleranceSet(feas_tol=1.0)))
+    assert len(calls) == 4
+    assert result.best.variant is Variant.LSL
+    assert result.t_f == pytest.approx(7.5294, abs=1e-4)
 
 
 def test_plan_never_beats_brute_force():

@@ -15,7 +15,6 @@ from windubins import (
     QuadCosCoeffs,
     RootSet,
     SinusoidCoeffs,
-    ToleranceSet,
     rootfind,
     solve_envelope,
     solve_quadcos,
@@ -26,6 +25,7 @@ from windubins.planner import plan
 from windubins.rootfind import (
     _GRAZE_WINDOW,
     _ROUNDING,
+    _SLACK,
     _convex_roots,
     _envelope_rootless,
     _envelope_stationary,
@@ -47,27 +47,25 @@ from grid_oracle import (
 )
 from parity_dump import random_scenarios
 
-TOL = ToleranceSet()
-
 
 def test_quadcos_pure_cosine():
-    roots = solve_quadcos(QuadCosCoeffs(0, 0, 1, 0), TOL).roots
+    roots = solve_quadcos(QuadCosCoeffs(0, 0, 1, 0)).roots
     assert len(roots) == 2
     assert roots[0] == pytest.approx(math.pi / 2, abs=1e-12)
     assert roots[1] == pytest.approx(3 * math.pi / 2, abs=1e-12)
 
 
 def test_quadcos_pure_quadratic():
-    roots = solve_quadcos(QuadCosCoeffs(1, 0, 0, -math.pi**2), TOL).roots
+    roots = solve_quadcos(QuadCosCoeffs(1, 0, 0, -math.pi**2)).roots
     assert len(roots) == 1
     assert roots[0] == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_quadcos_linear_degenerate():
-    roots = solve_quadcos(QuadCosCoeffs(0, 2.0, 0, -1.0), TOL).roots
+    roots = solve_quadcos(QuadCosCoeffs(0, 2.0, 0, -1.0)).roots
     assert len(roots) == 1
     assert roots[0] == pytest.approx(0.5, abs=1e-14)
-    assert len(solve_quadcos(QuadCosCoeffs(0, 0, 0, 1.0), TOL)) == 0
+    assert len(solve_quadcos(QuadCosCoeffs(0, 0, 0, 1.0))) == 0
 
 
 def test_quadcos_rejects_nonfinite():
@@ -96,7 +94,7 @@ def test_quadcos_matches_grid_oracle():
     rng = random.Random(100)
     for _ in range(150):
         c = [rng.uniform(-10, 10) for _ in range(4)]
-        rs = solve_quadcos(QuadCosCoeffs(*c), TOL)
+        rs = solve_quadcos(QuadCosCoeffs(*c))
         expected = dense_grid_roots(quadcos_fn(*c), n=200_000)
         assert match_root_sets(simple_roots(rs), expected, tol=1e-6), (c, rs.roots, expected)
 
@@ -112,7 +110,7 @@ def test_quadcos_residuals_and_brackets():
     for _ in range(80):
         c = [rng.uniform(-10, 10) for _ in range(4)]
         coeffs = QuadCosCoeffs(*c)
-        rs = solve_quadcos(coeffs, TOL)
+        rs = solve_quadcos(coeffs)
         g = quadcos_fn(*c)
         for root, tang in zip(rs.roots, rs.tangential):
             if tang:
@@ -123,8 +121,8 @@ def test_quadcos_residuals_and_brackets():
 
 def test_quadcos_deterministic():
     coeffs = QuadCosCoeffs(0.3, -2.1, 8.0, -1.7)
-    a = solve_quadcos(coeffs, TOL)
-    b = solve_quadcos(coeffs, TOL)
+    a = solve_quadcos(coeffs)
+    b = solve_quadcos(coeffs)
     assert a.roots == b.roots
     assert a.tangential == b.tangential
 
@@ -155,32 +153,32 @@ def test_quadcos_domain_restriction():
     for _ in range(40):
         c = [rng.uniform(-10, 10) for _ in range(4)]
         coeffs = QuadCosCoeffs(*c)
-        full = simple_roots(solve_quadcos(coeffs, TOL))
+        full = simple_roots(solve_quadcos(coeffs))
         lo, hi = sorted((rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)))
-        sub = simple_roots(solve_quadcos(coeffs, TOL, domain=(lo, hi)))
+        sub = simple_roots(solve_quadcos(coeffs, domain=(lo, hi)))
         expected = [r for r in full if lo <= r < hi]
         assert match_root_sets(sub, expected, tol=1e-9)
 
 
 def test_sinusoid_examples():
-    rs = solve_sinusoid(SinusoidCoeffs(0, 1, 0), TOL)
+    rs = solve_sinusoid(SinusoidCoeffs(0, 1, 0))
     assert match_root_sets(rs.roots, [0.0, math.pi], tol=1e-12)
-    assert len(solve_sinusoid(SinusoidCoeffs(2, 1, 0), TOL)) == 0
-    graze = solve_sinusoid(SinusoidCoeffs(-1, 1, 0), TOL)
+    assert len(solve_sinusoid(SinusoidCoeffs(2, 1, 0))) == 0
+    graze = solve_sinusoid(SinusoidCoeffs(-1, 1, 0))
     assert len(graze) == 1
     assert graze.roots[0] == pytest.approx(math.pi / 2, abs=1e-9)
     assert graze.tangential == (True,)
 
 
 def test_sinusoid_zero_amplitude():
-    assert len(solve_sinusoid(SinusoidCoeffs(1.0, 0.0, 0.0), TOL)) == 0
+    assert len(solve_sinusoid(SinusoidCoeffs(1.0, 0.0, 0.0))) == 0
 
 
 def test_sinusoid_residuals():
     rng = random.Random(104)
     for _ in range(200):
         e = [rng.uniform(-10, 10) for _ in range(3)]
-        rs = solve_sinusoid(SinusoidCoeffs(*e), TOL)
+        rs = solve_sinusoid(SinusoidCoeffs(*e))
         for root, tang in zip(rs.roots, rs.tangential):
             assert 0.0 <= root < TWO_PI
             if not tang:
@@ -192,14 +190,14 @@ def test_envelope_reduces_to_sinusoid():
     rng = random.Random(105)
     for _ in range(100):
         e = [rng.uniform(-10, 10) for _ in range(3)]
-        env = solve_envelope(EnvelopeCoeffs(e[0], e[1], e[2], 0.0, 0.0), TOL)
-        sin_rs = solve_sinusoid(SinusoidCoeffs(*e), TOL)
+        env = solve_envelope(EnvelopeCoeffs(e[0], e[1], e[2], 0.0, 0.0))
+        sin_rs = solve_sinusoid(SinusoidCoeffs(*e))
         assert match_root_sets(simple_roots(env), simple_roots(sin_rs), tol=1e-9)
 
 
 def test_envelope_factored_zeros():
     # b*cos(b) = 0 has roots at 0 (exact grid point), pi/2 and 3*pi/2.
-    rs = solve_envelope(EnvelopeCoeffs(0, 0, 0, 0, 1), TOL)
+    rs = solve_envelope(EnvelopeCoeffs(0, 0, 0, 0, 1))
     assert match_root_sets(rs.roots, [0.0, math.pi / 2, 3 * math.pi / 2], tol=1e-10)
 
 
@@ -207,7 +205,7 @@ def test_envelope_matches_grid_oracle():
     rng = random.Random(106)
     for _ in range(150):
         f = [rng.uniform(-10, 10) for _ in range(5)]
-        rs = solve_envelope(EnvelopeCoeffs(*f), TOL)
+        rs = solve_envelope(EnvelopeCoeffs(*f))
         expected = dense_grid_roots(envelope_fn(*f), n=200_000)
         assert match_root_sets(simple_roots(rs), expected, tol=1e-6), (f, rs.roots, expected)
 
@@ -217,7 +215,7 @@ def test_envelope_residuals_and_brackets():
     for _ in range(60):
         f = [rng.uniform(-10, 10) for _ in range(5)]
         coeffs = EnvelopeCoeffs(*f)
-        rs = solve_envelope(coeffs, TOL)
+        rs = solve_envelope(coeffs)
         g = envelope_fn(*f)
         for root, tang in zip(rs.roots, rs.tangential):
             if tang:
@@ -228,7 +226,7 @@ def test_envelope_residuals_and_brackets():
 
 def test_envelope_tangential_double_root():
     # 1 + cos(b) grazes zero at pi without a sign change.
-    rs = solve_envelope(EnvelopeCoeffs(1.0, 0.0, 1.0, 0.0, 0.0), TOL)
+    rs = solve_envelope(EnvelopeCoeffs(1.0, 0.0, 1.0, 0.0, 0.0))
     assert len(rs) == 1
     assert rs.roots[0] == pytest.approx(math.pi, abs=1e-4)
     assert rs.tangential == (True,)
@@ -236,21 +234,21 @@ def test_envelope_tangential_double_root():
 
 def test_envelope_deterministic():
     coeffs = EnvelopeCoeffs(0.7, -3.0, 2.0, 1.1, -0.4)
-    assert solve_envelope(coeffs, TOL).roots == solve_envelope(coeffs, TOL).roots
+    assert solve_envelope(coeffs).roots == solve_envelope(coeffs).roots
 
 
 def test_envelope_phase_jump_at_origin_crossing():
     # G' = (2 - b)*sin(b): (P, Q) = (2 - b, 0) passes through the origin at
     # b = 2, where the phase jumps by pi and G' vanishes without h = k*pi.
     f = (1.0, -1.0, -2.0, 0.0, 1.0)
-    rs = solve_envelope(EnvelopeCoeffs(*f), TOL)
+    rs = solve_envelope(EnvelopeCoeffs(*f))
     assert match_root_sets(rs.roots, [math.pi / 2, 2.5031916288, 3.5889535156], tol=1e-9)
     assert match_root_sets(simple_roots(rs), dense_grid_roots(envelope_fn(*f)), tol=1e-6)
 
 
 def test_envelope_double_root_at_domain_edge():
     # Same G' with G(0) = 0: G ~ b^2 at the edge, a single root there.
-    rs = solve_envelope(EnvelopeCoeffs(2.0, -1.0, -2.0, 0.0, 1.0), TOL)
+    rs = solve_envelope(EnvelopeCoeffs(2.0, -1.0, -2.0, 0.0, 1.0))
     assert rs.roots == (0.0,)
 
 
@@ -281,11 +279,11 @@ def test_shallow_crossing_pair_is_two_roots():
     # merge window: the two crossings are the contact, and pi is no third,
     # tangential root.
     half = math.sqrt(1e-7)
-    rs = solve_quadcos(QuadCosCoeffs(1.0, -TWO_PI, 0.0, math.pi**2 - 1e-7), TOL)
+    rs = solve_quadcos(QuadCosCoeffs(1.0, -TWO_PI, 0.0, math.pi**2 - 1e-7))
     assert rs.tangential == (False, False)
     assert rs.roots == pytest.approx((math.pi - half, math.pi + half), abs=1e-9)
     # Raised by as much instead, G does not cross, and pi is a tangential root.
-    rs = solve_quadcos(QuadCosCoeffs(1.0, -TWO_PI, 0.0, math.pi**2 + 1e-7), TOL)
+    rs = solve_quadcos(QuadCosCoeffs(1.0, -TWO_PI, 0.0, math.pi**2 + 1e-7))
     assert rs.tangential == (True,)
     assert rs.roots == pytest.approx((math.pi,), abs=1e-12)
 
@@ -293,7 +291,7 @@ def test_shallow_crossing_pair_is_two_roots():
 def test_sign_change_between_tiny_values():
     # G(0) = 3.4e-227 > 0 > G(2*pi) = -6.2e-206: the product of the two
     # underflows to -0.0, yet the sign change holds the root c4/|c2|.
-    rs = solve_quadcos(QuadCosCoeffs(0.0, -9.804359110364705e-207, 0.0, 3.393086642190511e-227), TOL)
+    rs = solve_quadcos(QuadCosCoeffs(0.0, -9.804359110364705e-207, 0.0, 3.393086642190511e-227))
     assert rs.tangential == (False,)
     assert rs.roots[0] == pytest.approx(3.393086642190511e-227 / 9.804359110364705e-207, abs=1e-14)
 
@@ -376,7 +374,7 @@ def _bracketed_solves(solve, coeffs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rootfind, "_refine", counted_refine)
         mp.setattr(rootfind, "_monotone_roots", counted_monotone_roots)
-        solve(coeffs, TOL)
+        solve(coeffs)
     return solves
 
 
@@ -415,7 +413,7 @@ def test_bracketed_solves_are_bounded_on_roots_direct():
 
 
 def _graze(coeffs):
-    return TOL.feas_tol * coeffs.scale
+    return _SLACK * coeffs.scale
 
 
 def _slack(coeffs):
@@ -425,8 +423,8 @@ def _slack(coeffs):
 def test_certificates_keep_grazing_roots():
     # cos(b) + 1 and its envelope twin touch zero at pi without crossing it.
     for rs in (
-        solve_quadcos(QuadCosCoeffs(0, 0, 1, 1), TOL),
-        solve_envelope(EnvelopeCoeffs(1, 0, 1, 0, 0), TOL),
+        solve_quadcos(QuadCosCoeffs(0, 0, 1, 1)),
+        solve_envelope(EnvelopeCoeffs(1, 0, 1, 0, 0)),
     ):
         assert len(rs) == 1 and rs.tangential == (True,)
         assert rs.roots[0] == pytest.approx(math.pi, abs=1e-4)
@@ -434,20 +432,21 @@ def test_certificates_keep_grazing_roots():
 
 @pytest.mark.parametrize("shift,grazes", [(0.5, True), (2.0, False)])
 def test_certificates_at_the_graze_band(shift, grazes):
-    # Each G has its minimum delta at b = pi, with delta a multiple of the
-    # graze slack: half of it is a grazing root the certificate must leave
-    # alone, twice it is no root and the certificate fires.
+    # Each G has its minimum delta = shift*1e-6*scale at b = pi (3*pi/2 for
+    # the sinusoid): at half the band _SLACK = 1e-6 it is a grazing root the
+    # certificate must leave alone, at twice it no root, and the certificate
+    # fires.  A band of 1e-7 fails the first case, one of 1e-5 the second.
     base = QuadCosCoeffs(0.5, -math.pi, 1.0, 0.5 * math.pi**2 + 1.0)
-    delta = shift * _graze(base)
-    quad = QuadCosCoeffs(base.c1, base.c2, base.c3, base.c4 + delta)
-    env_base = EnvelopeCoeffs(1.0, 0.0, 1.0, 0.0, 0.0)
-    env = EnvelopeCoeffs(1.0 + shift * _graze(env_base), 0.0, 1.0, 0.0, 0.0)
+    quad = QuadCosCoeffs(base.c1, base.c2, base.c3, base.c4 + shift * 1e-6 * base.scale)
+    env = EnvelopeCoeffs(1.0 + shift * 1e-6 * 3.0, 0.0, 1.0, 0.0, 0.0)
+    sinusoid = SinusoidCoeffs(1.0 + shift * 1e-6 * 3.0, 1.0, 0.0)
     assert _quadcos_rootless(quad, 0.0, TWO_PI, _slack(quad)) is not grazes
     assert _envelope_rootless(env, 0.0, TWO_PI, _slack(env)) is not grazes
-    for rs in (solve_quadcos(quad, TOL), solve_envelope(env, TOL)):
+    for rs, at in ((solve_quadcos(quad), math.pi), (solve_envelope(env), math.pi),
+                   (solve_sinusoid(sinusoid), 1.5 * math.pi)):
         if grazes:
             assert rs.tangential == (True,)
-            assert rs.roots[0] == pytest.approx(math.pi, abs=1e-4)
+            assert rs.roots[0] == pytest.approx(at, abs=1e-4)
         else:
             assert len(rs) == 0
 
@@ -460,7 +459,7 @@ def test_certificate_margin_covers_the_rounding_of_g():
     coeffs = QuadCosCoeffs(26.30243786076796, -165.2630911097813, 0.1581381016523479, 259.7532470485813)
     assert _quadcos_rootless(coeffs, 0.0, TWO_PI, _graze(coeffs))
     assert not _quadcos_rootless(coeffs, 0.0, TWO_PI, _slack(coeffs))
-    rs = solve_quadcos(coeffs, TOL)
+    rs = solve_quadcos(coeffs)
     assert rs.roots == pytest.approx((math.pi,), abs=1e-12) and rs.tangential == (True,)
 
 
@@ -496,7 +495,7 @@ def test_quadcos_certificate_is_sound(c1, c2, c3, margin, below, a, b):
     coeffs = QuadCosCoeffs(c1, c2, c3, c4)
     if _quadcos_rootless(coeffs, lo, hi, _slack(coeffs)):
         _assert_no_root_on(quadcos_fn(*coeffs), coeffs, lo, hi)
-        assert len(solve_quadcos(coeffs, TOL, domain=(lo, hi))) == 0
+        assert len(solve_quadcos(coeffs, domain=(lo, hi))) == 0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -511,7 +510,7 @@ def test_envelope_certificate_is_sound(f2, f3, f4, f5, share, margin, negative, 
     coeffs = EnvelopeCoeffs(-f1 if negative else f1, f2, f3, f4, f5)
     if _envelope_rootless(coeffs, lo, hi, _slack(coeffs)):
         _assert_no_root_on(envelope_fn(*coeffs), coeffs, lo, hi)
-        assert len(solve_envelope(coeffs, TOL, domain=(lo, hi))) == 0
+        assert len(solve_envelope(coeffs, domain=(lo, hi))) == 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -596,7 +595,7 @@ def test_any_finite_magnitudes(shape, f1, f2, f3, f4, f5):
     # Each shape takes the first of the five drawn coefficients it needs.
     record, solve, fn = _SHAPES[shape]
     coeffs = record(*(f1, f2, f3, f4, f5)[: len(record._fields)])
-    rs = solve(coeffs, TOL)
+    rs = solve(coeffs)
     assert isinstance(rs, RootSet)
     assert list(rs.roots) == sorted(rs.roots) and len(rs.tangential) == len(rs.roots)
     assert all(0.0 <= r < TWO_PI for r in rs.roots)
@@ -625,8 +624,8 @@ _SOLVER = {EnvelopeCoeffs: solve_envelope, SinusoidCoeffs: solve_sinusoid, QuadC
 def test_magnified_record_keeps_its_roots(unit, factor):
     # A record times a factor up to near the largest float has its roots.
     solve = _SOLVER[type(unit)]
-    got = solve(type(unit)(*(v * factor for v in unit)), TOL)
-    want = solve(unit, TOL)
+    got = solve(type(unit)(*(v * factor for v in unit)))
+    want = solve(unit)
     assert got.tangential == want.tangential
     assert got.roots == pytest.approx(want.roots, rel=0.0, abs=1e-12)
 
@@ -641,13 +640,13 @@ def _both_paths(coeffs, lo, hi):
     ``solve_quadcos``'s own rescale; None where its certificate settles the
     record first."""
     scaled, scale = _rescaled(coeffs)
-    slack = TOL.feas_tol * scale + _ROUNDING * scale
+    slack = _SLACK * scale + _ROUNDING * scale
     if _quadcos_rootless(scaled, lo, hi, slack):
         return None
     convex = _convex_roots(scaled, lo, hi, slack)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rootfind, "_convex_roots", lambda *args: None)
-        generic = solve_quadcos(coeffs, TOL, domain=(lo, hi))
+        generic = solve_quadcos(coeffs, domain=(lo, hi))
     return None if convex is None else _root_set(convex), generic
 
 
@@ -675,9 +674,9 @@ def _ccc_records():
     scenarios: all of them CCC branch equations."""
     seen = []
 
-    def recorded(coeffs, tol, domain, _solve=windubins.families.solve_quadcos):
+    def recorded(coeffs, domain, _solve=windubins.families.solve_quadcos):
         seen.append((coeffs, *domain))
-        return _solve(coeffs, tol, domain=domain)
+        return _solve(coeffs, domain=domain)
 
     randoms = (sc for _, sc in itertools.islice(random_scenarios(), 300))
     with pytest.MonkeyPatch.context() as mp:
@@ -717,7 +716,7 @@ def test_convex_factor_matches_the_generic_path_and_the_grid():
         paths = _both_paths(coeffs, lo, hi)
         if paths is None:  # the certificate's soundness is tested on its own
             continue
-        rs = solve_quadcos(coeffs, TOL, domain=(lo, hi))
+        rs = solve_quadcos(coeffs, domain=(lo, hi))
         seen = [r for r in simple_roots(rs) if r <= TWO_PI - TWO_PI / n]
         grid = [r for r in dense_grid_roots(quadcos_fn(*coeffs), n=n) if lo <= r < hi]
         assert match_root_sets(seen, grid, tol=1e-6), (coeffs, lo, hi, rs, grid)
