@@ -13,9 +13,9 @@ The family solvers below work on one canonical problem: start pose
 (0, 0, pi/2) and unit turn radius, so every length is in turn radii and an
 arc's duration equals its radians.  ``solve_all`` is the only function that
 knows rho: it divides the goal by rho, runs the four solvers and multiplies
-each candidate's times and lengths back.  Each solver reduces its family's
-interception conditions to one of the root shapes in ``rootfind``,
-reconstructs the segment parameters for every root, and keeps only
+each candidate's times and lengths back.  SC and CC have closed forms; CCC
+and CSC reduce their interception conditions to root shapes in ``rootfind``
+and reconstruct the segment parameters for every root.  All keep only
 candidates whose forward-integrated endpoint actually meets the moving
 target.  Integration is the final arbiter for every emitted candidate.
 
@@ -27,8 +27,8 @@ it, a solver drops a root only to pick a root or a wrap branch, or to keep
 the schedule valid:
 
 * SC: the final heading must be pi/2, and the straight length not negative;
-* CC: the first arc must lie in [0, 2*pi); in zero wind, the goal must sit
-  on the first circle, which gives the one root;
+* CC: the goal heading fixes the first arc, and the target at the path's
+  time must sit on the first circle;
 * CCC: the middle arc must not be empty, and the wrapped arc sum must
   match the branch;
 * CSC: the last arc must lie in the root's own wrap branch, and the straight
@@ -236,10 +236,13 @@ def solve_sc(scenario: Scenario) -> list[PathCandidate]:
 def solve_cc(scenario: Scenario) -> list[PathCandidate]:
     """Both CC2pi orientations of a unit-radius normalized scenario.
 
-    The endpoint lies on the first-arc circle, so the interception identity
-    squares into a quadratic in the first-arc radian.  Every real root in
-    range is proposed to ``_accept``, which checks the heading and the
-    endpoint; the global minimum is taken later by the planner.
+    The closing full circle returns the path to where its first arc ends, at
+    heading pi/2 + sigma*alpha, so the goal heading alone fixes alpha, and
+    the time T = alpha + 2*pi.  The path is proposed when the moving target
+    at T lies on the first circle; ``_accept`` then checks the endpoint.  A
+    heading within _SLACK below the wrap also proposes the empty first arc,
+    whose path is one turn shorter, as CSC's boundary roots take the empty
+    or the full turn of their branch.
     """
     wx, wy = scenario.wind.wx, scenario.wind.wy
     X, Y = scenario.target
@@ -247,39 +250,21 @@ def solve_cc(scenario: Scenario) -> list[PathCandidate]:
     proposals = []
     for variant in (Variant.RL2PI, Variant.LR2PI):
         sigma = variant.sigma
-        cx = -sigma  # first-circle centre (cx, 0)
-        # Circle condition (X - cx - T*wx)^2 + (Y - T*wy)^2 = 1, T = a + 2*pi.
-        if ww == 0.0:
-            # Still air (``WindVector`` zeroes a wind below ZERO_WIND_EPS): a
-            # goal on the circle is reached at the heading's arc.
-            on_circle = (X - cx) ** 2 + Y * Y - 1.0
-            alpha_head = mod2pi(sigma * (scenario.theta_f - HALF_PI))
-            roots = [alpha_head] if abs(on_circle) <= _SLACK * (1.0 + X * X + Y * Y) else []
-        else:
-            proj = (X - cx) * wx + Y * wy
-            a2 = 4.0 * math.pi * ww - 2.0 * proj
-            a3 = 4.0 * math.pi * math.pi * ww - 4.0 * math.pi * proj + (X - cx) ** 2 + Y * Y - 1.0
-            roots = _real_quadratic_roots(ww, a2, a3)
-        for alpha in roots:
-            if not (-_SLACK <= alpha < TWO_PI):
-                continue
-            alpha = max(0.0, alpha)
-            schedule = ControlSchedule(((sigma, alpha), (-sigma, TWO_PI)))
-            proposals.append((variant, SegmentParams(alpha=alpha), schedule))
+        alpha = mod2pi(sigma * (scenario.theta_f - HALF_PI))
+        for a in (alpha, 0.0) if alpha > TWO_PI - _SLACK else (alpha,):
+            T = a + TWO_PI
+            # (u, v): the target at T from the first circle's centre (-sigma, 0).
+            # u^2 + v^2 - 1 rounds by a few eps of (|X| + T*|wx| + 1)^2 +
+            # (|Y| + T*|wy|)^2, at most 3*scale.  In still air (``WindVector``
+            # zeroes a wind below ZERO_WIND_EPS) the test is, bit for bit,
+            # (X + sigma) ** 2 + Y*Y - 1 against _SLACK*(1 + X*X + Y*Y); u ** 2
+            # keeps that, as pow can round a square an ulp away from u*u.
+            u, v = X - T * wx + sigma, Y - T * wy
+            scale = 1.0 + X * X + Y * Y + T * T * ww
+            if abs(u ** 2 + v * v - 1.0) <= _SLACK * scale:
+                schedule = ControlSchedule(((sigma, a), (-sigma, TWO_PI)))
+                proposals.append((variant, SegmentParams(alpha=a), schedule))
     return _accept(scenario, proposals)
-
-
-def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a*x^2 + b*x + c with a > 0, numerically stable, ascending."""
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    s = math.sqrt(disc)
-    q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else -0.5 * s
-    roots = {q / a}
-    if q != 0.0:
-        roots.add(c / q)
-    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

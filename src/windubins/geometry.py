@@ -16,6 +16,7 @@ immutable once constructed.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
@@ -179,6 +180,10 @@ class Scenario(_Record, namedtuple("Scenario", "wind target_x target_y theta_f r
                 raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
         if not (rho > 0.0 and math.isfinite(rho)):
             raise ValueError(f"rho must be a positive finite length, got {rho}")
+        # Durations scaled by a subnormal rho lose their significant bits, and
+        # ``planner.validate`` divides them by rho again.
+        if rho < sys.float_info.min:
+            raise ValueError(f"rho must not be subnormal (below {sys.float_info.min:g}), got {rho}")
         sx, sy, sth = start
         for name, value in (
             ("target_x", target_x),

@@ -75,7 +75,7 @@ _SLACK = 1e-6
 _GRAZE_WINDOW = 1e-5
 #: A zero at a knot this close to lo or hi is a crossing: G at that end is then
 #: |G''|*e^2/2 ~ _ROUNDING*scale (e = sqrt(_ROUNDING), |G''| ~ scale), rounding.
-_KNOT_EDGE = 1e-6
+_KNOT_EDGE = math.sqrt(_ROUNDING)
 #: scale above which a solver first rescales its coefficients (``_rescaled``)
 _HUGE = 2.0**128
 

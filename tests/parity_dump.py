@@ -4,7 +4,7 @@ records, or compare two such dumps.
     PYTHONPATH=src python3 tests/parity_dump.py OUT
     python3 tests/parity_dump.py --compare A B
 
-A dump holds one line per record, a key and then its fields, over six
+A dump holds one line per record, a key and then its fields, over seven
 corpora:
 
 * ``random``: 3000 plans with |w| <= 0.95, rho in {0.5, 1, 2.5}, the goal
@@ -19,7 +19,12 @@ corpora:
   ``batch-csv`` workload never draws;
 * ``loose``: the first 600 ``random`` plans again, at
   ``ToleranceSet(0.1, 0.1)``, so a tolerance far from the default shows in
-  the records if it reaches the root level.
+  the records if it reaches the root level;
+* ``constructed``: 600 forward-built SC2pi plans (``constructed/sc-i``) and
+  600 CC2pi ones (``constructed/cc-i``), of both orientations, with
+  |w| <= 0.9, rho in {0.5, 1, 2.5} and every 4th from a random start pose:
+  the goal is where the wind carries the path's end, so each plan has a
+  feasible path of its family, which random goals almost never give.
 
 A plan record holds the best label and t_f, then each candidate in plan
 order: its label, params, time and residual, and its ``validate`` report.
@@ -51,6 +56,8 @@ ROOT_SEEDS = (901, 601)
 SAMPLED_PLANS, SAMPLE_STEPS = 600, 37
 #: the ``random`` plans dumped again at loose tolerances, and those tolerances
 LOOSE_PLANS, LOOSE_TOL = 600, 0.1
+#: forward-built plans per family in the ``constructed`` corpus
+CONSTRUCTED_PLANS = 600
 #: time difference, relative to max(1, t), within which ``--compare`` counts
 #: two candidates of one plan as tied: the planner's tie width at rho = 1
 TIED = 1e-12
@@ -94,6 +101,41 @@ def integer_scenarios():
                         theta_f=k * math.pi / 4.0, rho=1.0,
                     )
                     yield f"integer/{wx},{wy},{x},{y},{k}", scenario
+
+
+def constructed_scenarios():
+    from windubins import ControlSchedule, Scenario, WindVector
+    from windubins.geometry import DEFAULT_START, integrate
+
+    rng = random.Random(28)
+    for family in ("sc", "cc"):
+        for i in range(CONSTRUCTED_PLANS):
+            sigma = rng.choice((-1, 1))
+            w, w_ang = rng.uniform(0.0, 0.9), rng.uniform(0.0, 2.0 * math.pi)
+            wx, wy = w * math.cos(w_ang), w * math.sin(w_ang)
+            rho = rng.choice((0.5, 1.0, 2.5))
+            if family == "sc":
+                pieces = ((0, rng.uniform(0.0, 10.0)), (sigma, 2.0 * math.pi))
+            else:
+                pieces = ((sigma, rng.uniform(0.0, 2.0 * math.pi)), (-sigma, 2.0 * math.pi))
+            schedule = ControlSchedule(pieces)
+            # flown from the canonical start (0, 0, pi/2) at unit radius, then
+            # scaled by rho and turned onto the start pose
+            end, t = integrate(DEFAULT_START, schedule, 1.0), schedule.total_duration
+            gx, gy = rho * (end.x + t * wx), rho * (end.y + t * wy)
+            start = DEFAULT_START
+            if i % 4 == 0:
+                start = (rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(0.0, 2.0 * math.pi))
+            turn = start[2] - 0.5 * math.pi
+            c, s = math.cos(turn), math.sin(turn)
+            yield f"constructed/{family}-{i}", Scenario(
+                wind=WindVector(c * wx - s * wy, s * wx + c * wy),
+                target_x=start[0] + c * gx - s * gy,
+                target_y=start[1] + s * gx + c * gy,
+                theta_f=end.theta + turn,
+                rho=rho,
+                start=start,
+            )
 
 
 def plan_record(scenario) -> str:
@@ -141,7 +183,7 @@ def dump(path: str) -> None:
     from windubins import ToleranceSet
 
     with open(path, "w", encoding="utf-8") as out:
-        for key, scenario in (*random_scenarios(), *integer_scenarios()):
+        for key, scenario in (*random_scenarios(), *integer_scenarios(), *constructed_scenarios()):
             out.write(f"{key} {plan_record(scenario)}\n")
         for i, (_, scenario) in zip(range(SAMPLED_PLANS), random_scenarios()):
             out.write(f"samples/{i} {sample_record(scenario)}\n")

@@ -82,6 +82,17 @@ def test_invalid_rho(capsys):
     assert "rho" in err
 
 
+@pytest.mark.parametrize("rho", ["1e-320", "5e-323"])
+def test_subnormal_rho_is_one_error_line(capsys, rho):
+    status, out, err = run_cli(
+        capsys, "plan", "--wind", "0.3,-0.2", "--target", f"{3 * float(rho)!r},{4 * float(rho)!r}",
+        "--theta-f-deg", "17", "--rho", rho,
+    )
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "rho" in err
+
+
 def test_non_numeric_target(capsys):
     status, _, err = run_cli(
         capsys, "plan", "--wind", "0,0", "--target", "1,abc",

@@ -25,7 +25,15 @@ from windubins.families import (
     solve_csc,
     solve_sc,
 )
-from windubins.geometry import HALF_PI, TWO_PI, RelativeState, ang_dist, integrate, target_relative
+from windubins.geometry import (
+    HALF_PI,
+    TWO_PI,
+    RelativeState,
+    ang_dist,
+    integrate,
+    mod2pi,
+    target_relative,
+)
 from windubins.rootfind import _GRAZE_WINDOW, _SLACK
 
 from conftest import (
@@ -145,6 +153,54 @@ def test_cc_forward_constructed():
     assert c.variant is Variant.RL2PI
     assert c.params.alpha == pytest.approx(HALF_PI, abs=1e-9)
     assert c.total_time == pytest.approx(total, abs=1e-9)
+
+
+def test_cc_heading_fixes_the_first_arc():
+    # Forward-built CC2pi paths: the goal heading alone gives the first arc,
+    # bit for bit, and a target moved off the first circle gives no path.
+    rng = random.Random(2801)
+    for _ in range(2000):
+        sigma, alpha = rng.choice((-1, 1)), rng.uniform(0.0, TWO_PI)
+        speed, bearing = rng.uniform(0.0, 0.9), rng.uniform(0.0, TWO_PI)
+        wx, wy = speed * math.cos(bearing), speed * math.sin(bearing)
+        schedule = ControlSchedule(((sigma, alpha), (-sigma, TWO_PI)))
+        end, t = integrate(START, schedule, 1.0), schedule.total_duration
+        sc = Scenario(wind=WindVector(wx, wy), target_x=end.x + t * wx,
+                      target_y=end.y + t * wy, theta_f=end.theta, rho=1.0)
+        variant = Variant.RL2PI if sigma < 0 else Variant.LR2PI
+        heading_arc = mod2pi(sigma * (sc.theta_f - HALF_PI))
+        assert any(
+            c.params.alpha == heading_arc and c.residual <= 1e-14 * (1.0 + c.total_time)
+            for c in solve_cc(sc) if c.variant is variant
+        )
+        rx, ry = end.x + sigma, end.y  # unit radial direction of the first circle
+        off = sc._replace(target_x=sc.target_x + 1e-3 * rx, target_y=sc.target_y + 1e-3 * ry)
+        assert not [c for c in solve_cc(off) if c.variant is variant]
+
+
+@pytest.mark.parametrize("wind", [(0.0, 0.0), (0.1, 0.05)])
+@pytest.mark.parametrize("delta", [1e-9, -1e-9, 1e-7, -1e-7])
+def test_cc_heading_at_the_wrap_takes_the_empty_first_arc(wind, delta):
+    # The target is back at the start after one full turn.  A heading just
+    # below the wrap (sigma*delta < 0) also proposes the empty first arc, so
+    # each orientation flies one turn plus at most its own small arc.
+    wx, wy = wind
+    sc = Scenario(wind=WindVector(wx, wy), target_x=TWO_PI * wx, target_y=TWO_PI * wy,
+                  theta_f=HALF_PI + delta, rho=1.0)
+    cands = solve_cc(sc)
+    for variant in (Variant.RL2PI, Variant.LR2PI):
+        expected = TWO_PI + max(0.0, variant.sigma * delta)
+        assert any(
+            abs(c.total_time - expected) <= 1e-8 for c in cands if c.variant is variant
+        ), (variant, [(c.variant, c.total_time) for c in cands])
+
+
+def test_cc_case2_is_exact(case2):
+    # theta_f = pi/4 gives RL2pi's first arc pi/4 exactly, and the plan's time
+    # is that arc plus the full turn, 9*pi/4.
+    (c,) = [c for c in solve_cc(case2) if c.variant is Variant.RL2PI]
+    assert c.params.alpha == math.pi / 4.0
+    assert plan(case2).t_f == 9.0 * math.pi / 4.0
 
 
 def test_cc_wind_violation_rejected(case2):

@@ -97,6 +97,15 @@ def test_scenario_rejects_bad_rho():
         Scenario._make(scenario[:4] + (math.inf,) + scenario[5:])
 
 
+@pytest.mark.parametrize("rho", [1e-320, 5e-323])
+def test_scenario_rejects_a_subnormal_rho(rho):
+    # Durations scaled by a subnormal rho lose their significant bits: at
+    # these radii plan() returned a best path that validate() rejects.
+    with pytest.raises(ValueError, match="rho must not be subnormal"):
+        Scenario(wind=WindVector(0.3, -0.2), target_x=3 * rho, target_y=4 * rho,
+                 theta_f=0.3, rho=rho)
+
+
 def test_scenario_replace_and_make_clean_like_the_constructor():
     scenario = Scenario(wind=WindVector(0.1, 0), target_x=1, target_y=0, theta_f=0, rho=1.0)
     assert scenario.tol is Scenario(WindVector(0, 0), 2.0, 0.0, 1.0, 1.0).tol  # one shared default

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,17 @@ def test_per_family_times_are_each_plans_own(case1):
     assert list(result.per_family_times.items()) == list(fastest.items())
     result.per_family_times[Family.SC] = 0.0
     assert plan(case1).per_family_times[Family.SC] == math.inf
+
+
+@pytest.mark.parametrize("rho", [sys.float_info.min, 1e-300, 1e300])
+def test_plan_best_validates_at_the_extreme_radii(rho):
+    # The smallest normal radius and the far ends of the range still give a
+    # best path that validate() accepts (a subnormal one is rejected).
+    scenario = Scenario(wind=WindVector(0.3, -0.2), target_x=3 * rho, target_y=4 * rho,
+                        theta_f=0.3, rho=rho)
+    result = plan(scenario)
+    assert result.best is not None
+    assert validate(result.best, scenario).feasible
 
 
 def test_validate_solver_candidates(case1):
